@@ -74,6 +74,13 @@ cargo test -q --offline -p osn-net --release socket::
 echo "==> wire suite: cross-transport conformance (inproc vs TCP delivery sets)"
 cargo test -q --offline --release --test wire_conformance
 
+echo "==> reference benchmark: harness tests + every workload's oracle (smoke sizes)"
+# A transport change that breaks a workload oracle (delivered set ==
+# non-publisher tree nodes, exact bytes, zero retransmissions, equal
+# inproc/tcp delivery digests) must fail here, before the bench pipeline.
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- --workload all --smoke
+
 if [ "${CI_MIRI:-0}" = "1" ]; then
     echo "==> miri (CI_MIRI=1): scratch arena + publish pipeline under the interpreter"
     if rustup component list 2>/dev/null | grep -q "miri.*(installed)"; then

@@ -10,24 +10,26 @@
 //!   uploads are **serialized** (the star experiment's linear law) and every
 //!   link carries its own propagation latency. This produces the Fig. 7
 //!   latency series.
-//! * [`transport`] — the [`Transport`] trait every runtime implements, plus
-//!   [`publish_over`]: the ack-window/retransmission loop written once,
-//!   generically, so retry policy cannot drift between transports.
-//! * [`runtime`] — the **reference transport**: one OS thread per peer,
-//!   crossbeam channels as links, [`select_core::WireMsg`] as the
-//!   vocabulary, `bytes::Bytes` payloads forwarded along the dissemination
-//!   tree. Deterministic and fast; the baseline conformance replays
-//!   against.
+//! * [`transport`] — the [`Transport`] trait the publish driver needs, plus
+//!   [`publish_over`]: the ack-window/retransmission loop written once, so
+//!   retry policy cannot drift between link families.
+//! * [`runtime`] — the peer runtime: **one** actor loop (dedup, ack, trace
+//!   re-stamp, fault fate, fan-out, probe reply) and **one** driver
+//!   ([`PeerNetwork`]: spawn, handshake, publish, probe, shutdown, the
+//!   single `Transport` impl), generic over a small [`runtime::Link`]
+//!   trait. It also hosts the reference link family — one OS thread per
+//!   peer, crossbeam channels as links ([`ThreadedNetwork`]) —
+//!   deterministic and fast; the baseline conformance replays against.
 //! * [`codec`] — the dependency-free binary framing of `WireMsg`
 //!   (length-prefixed little-endian, magic + version header); decoding is
 //!   total and panic-free.
-//! * [`socket`] — the same protocol over real loopback TCP: each peer a
-//!   thread owning a `TcpListener`, every message a codec frame, the fault
-//!   plan applied at the socket boundary. The `wire_conformance`
-//!   integration test pins its delivery sets to the in-process reference
-//!   under identical seeds.
-//! * [`throttled`] — the runtime with modelled upload bandwidth: forwards
-//!   cost real wall-clock time, validating [`timing`]'s predictions.
+//! * [`socket`] — the loopback-TCP link family ([`SocketNetwork`]): a
+//!   listener per peer, a persistent control stream to the driver, every
+//!   message a codec frame. The `wire_conformance` integration test pins
+//!   its delivery sets to the in-process reference under identical seeds.
+//! * [`throttled`] — the channel family with modelled upload bandwidth
+//!   ([`ThrottledNetwork`]): forwards cost real wall-clock time,
+//!   validating [`timing`]'s predictions.
 //! * [`stats`] — per-transport wire telemetry ([`TransportStats`]):
 //!   frame/byte counters per tag, retransmissions, reconnects, garbage
 //!   frames; snapshots merge into the obs layer's Prometheus export.
@@ -36,6 +38,8 @@
 #![warn(missing_docs)]
 
 pub mod codec;
+#[cfg(test)]
+mod contract;
 pub mod runtime;
 pub mod socket;
 pub mod stats;
@@ -43,7 +47,7 @@ pub mod throttled;
 pub mod timing;
 pub mod transport;
 
-pub use runtime::ThreadedNetwork;
+pub use runtime::{PeerNetwork, ThreadedNetwork};
 pub use socket::SocketNetwork;
 pub use stats::{StatsSnapshot, TransportStats};
 pub use throttled::{ThrottledNetwork, TimedPublishResult};

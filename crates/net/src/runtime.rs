@@ -1,24 +1,33 @@
-//! Concurrent actor runtime: one thread per peer, channels as links.
+//! The peer runtime: **one** actor loop and **one** driver, generic over a
+//! [`Link`].
 //!
-//! This is the in-process stand-in for the paper's WebRTC browser peers:
-//! every peer runs on its own OS thread, owns a receiver, and forwards real
-//! `bytes::Bytes` payloads to its dissemination-tree children. Payload
-//! buffers are reference-counted (`Bytes::clone` is O(1)), mirroring how a
-//! real node relays a buffer it holds.
+//! This is the stand-in for the paper's WebRTC browser peers: every peer
+//! runs on its own OS thread and forwards real `bytes::Bytes` payloads to
+//! its dissemination-tree children. What a peer *does* with a frame — dedup
+//! by publication id, ack before forwarding, re-stamp the trace context,
+//! draw the fault plan's fate per child, answer probes, stop on shutdown —
+//! is written once, in `peer_loop`. What differs between runtimes is only
+//! **how a frame reaches the next peer**, behind two small traits: [`Peers`]
+//! (the address table the driver's injections and the peers' forwards both
+//! go through) and [`Link`] (one peer's endpoint: inbound frames, events to
+//! the driver, the jitter scale, the upload pace).
 //!
-//! Actors speak [`WireMsg`] — the same vocabulary the codec frames onto TCP
-//! in [`crate::socket`] — over crossbeam channels, and the publish path is
-//! the generic [`crate::transport::publish_over`] driver. This runtime is
-//! the **reference transport**: deterministic, fast, and the baseline the
-//! socket transport's conformance test replays against.
+//! Three link families implement them: crossbeam channels ([`ChannelLink`],
+//! below — the **reference transport**: deterministic, fast, the baseline
+//! the conformance test replays against), bandwidth-throttled channels
+//! ([`crate::throttled`]) and loopback TCP ([`crate::socket`]).
+//! [`PeerNetwork`] is the one driver — spawn, readiness handshake, publish,
+//! probe, shutdown, the single [`Transport`] impl — and the public network
+//! types are aliases of it. The loop is monomorphised per family: no `dyn`
+//! sits between a frame's arrival and its forwards.
 //!
 //! The runtime checks *behaviour* (every subscriber receives exactly one
 //! copy, forwarding follows the tree, concurrent publications don't
 //! interfere); timing fidelity is the job of [`crate::timing`].
 
-use crate::codec::encoded_frame_len;
+use crate::codec::{encoded_frame_len, WireError};
 use crate::stats::TransportStats;
-use crate::transport::{publish_over, PeerAddr, Transport};
+use crate::transport::{publish_over, PeerAddr, PublishResult, Transport};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use osn_graph::ids::to_u32;
@@ -26,135 +35,158 @@ use osn_obs::trace::{span_id, SpanRecord};
 use osn_sim::{FaultPlan, FrameFate};
 use select_core::pubsub::RoutingTree;
 use select_core::wire::{children_for, TraceContext, WireMsg};
+use std::collections::HashSet;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-pub use crate::transport::PublishResult;
+/// How a link family reaches peers: the address table shared by the driver
+/// (injections) and every peer (forwards).
+pub trait Peers: Clone + Send + 'static {
+    /// What a fan-out hands to each child: prepared once per forward, so a
+    /// family that serializes does it once however many children follow.
+    type Frame;
 
-/// A network of peer actors.
-pub struct ThreadedNetwork {
-    senders: Vec<Sender<WireMsg>>,
-    handles: Vec<JoinHandle<()>>,
+    /// Number of peers.
+    fn count(&self) -> usize;
+
+    /// Where `peer` is reachable, if it exists.
+    fn addr(&self, peer: u32) -> Option<PeerAddr>;
+
+    /// Prepares `msg` for [`Peers::carry`]; `None` if it cannot cross this
+    /// family's links (oversized for the codec).
+    fn frame(msg: WireMsg) -> Option<Self::Frame>;
+
+    /// Carries `frame` to peer `to`. Returns `false` if there is no such
+    /// peer or it is no longer reachable. `stats` is for what only the
+    /// family can see (TCP's one-shot connects); frame counting is the
+    /// caller's.
+    fn carry(&self, to: u32, frame: &Self::Frame, stats: &TransportStats) -> bool;
+}
+
+/// One peer's endpoint in a link family.
+pub trait Link: Send + 'static {
+    /// How this family reaches other peers.
+    type Peers: Peers;
+
+    /// Whether event frames are a lossless in-process hand-off — the one
+    /// family-keyed decision in the shared code. When true their rx is
+    /// counted at the send site and the driver builds spans from ack
+    /// echoes; when false (TCP) the family's event reader counts rx and
+    /// peers record spans themselves, with real attempts and per-hop stamps.
+    const IN_PROCESS: bool;
+
+    /// Carries an event frame (join, ack, probe reply) to the driver.
+    fn event(&mut self, msg: WireMsg) -> bool;
+
+    /// Blocks for the next inbound frame; `None` once nothing more will
+    /// arrive. An `Err` is bytes that did not decode: it costs the sender
+    /// its connection, never the peer — the loop counts it and keeps
+    /// serving.
+    fn recv(&mut self) -> Option<Result<WireMsg, WireError>>;
+
+    /// Wall sleep for `virtual_ms` of fault-plan jitter. Default: virtual
+    /// ms compressed to wall µs, so tests stay fast while ordering pressure
+    /// is real.
+    fn wall(&self, virtual_ms: f64) -> Duration {
+        Duration::from_micros(virtual_ms.ceil() as u64)
+    }
+
+    /// Wall time one upload of `len` payload bytes occupies this peer's
+    /// uplink before the frame leaves. Default: unpaced.
+    fn pace(&self, _len: usize) -> Duration {
+        Duration::ZERO
+    }
+}
+
+/// A network of peer actors over link family `L`: the one driver behind
+/// [`ThreadedNetwork`], [`crate::ThrottledNetwork`] and
+/// [`crate::SocketNetwork`].
+pub struct PeerNetwork<L: Link> {
+    peers: L::Peers,
+    /// Peer threads, yielding the spans they recorded, plus the helper
+    /// threads a family parked here (TCP's control readers, yielding none).
+    pub(crate) handles: Vec<JoinHandle<Vec<SpanRecord>>>,
     /// Driver-bound event frames: acks, probe replies (joins are drained
     /// by the spawn handshake).
     events: Receiver<WireMsg>,
-    next_pub_id: u64,
+    pub(crate) next_pub_id: u64,
     /// Retransmission waves `publish` may use after the first ack window.
     retry_max: u32,
     drops: Arc<AtomicU64>,
-    /// Wire telemetry, shared with every actor thread. Channels are
-    /// lossless and actors drain their queues before honouring Shutdown,
-    /// so for runs that quiesce before shutdown the counts are a pure
-    /// function of the plan — deterministic and thread-invariant.
-    stats: Arc<TransportStats>,
-    /// Whether publish frames are stamped with a root
-    /// [`TraceContext`](select_core::wire::TraceContext).
-    tracing: bool,
-    /// Origin for span wall stamps (driver ack-processing times).
-    epoch: Instant,
-    /// Driver-materialized spans: one per traced ack the driver received.
-    /// Actors echo the delivery context in their acks instead of keeping
-    /// per-actor buffers — a per-delivery write into a cold per-thread
+    /// Wire telemetry, shared with every peer thread. In-process links are
+    /// lossless and peers drain their queues before honouring Shutdown, so
+    /// runs that quiesce first count a pure function of the plan.
+    pub(crate) stats: Arc<TransportStats>,
+    /// Whether publish frames are stamped with a root [`TraceContext`].
+    pub(crate) tracing: bool,
+    /// Origin of every span wall stamp, driver- or peer-side.
+    pub(crate) epoch: Instant,
+    /// Collected spans. In-process: one per traced ack, pushed as the
+    /// driver processes it — a per-delivery write into a cold per-thread
     /// buffer costs ~10% of the publish path on a busy single-core box,
-    /// while this vec stays cache-hot under the driver's ack loop.
-    spans: Vec<SpanRecord>,
+    /// while this vec stays cache-hot under the ack loop. TCP: the peers'
+    /// own buffers, collected when their threads are joined.
+    pub(crate) spans: Vec<SpanRecord>,
 }
 
-impl ThreadedNetwork {
-    /// Spawns `n` peer actors on a fault-free network.
-    pub fn spawn(n: usize) -> Self {
-        Self::spawn_with_faults(n, FaultPlan::disabled(), 0)
-    }
-
-    /// Spawns `n` peer actors whose forwards run through `plan`: before
-    /// each child send the actor draws the plan's frame fate (keyed by
-    /// publication, attempt and directed link — deterministic and
-    /// replayable): drops are discarded and counted, delay jitter sleeps
-    /// before the send (virtual ms compressed to wall µs). `retry_max`
-    /// bounds the publisher-side ack-driven retransmission waves of
-    /// [`ThreadedNetwork::publish`].
-    ///
-    /// Every actor announces itself with a [`WireMsg::Join`] frame; spawn
-    /// returns once all `n` joins arrived, so the network is fully up
-    /// before the first publication.
-    pub fn spawn_with_faults(n: usize, plan: FaultPlan, retry_max: u32) -> Self {
-        let (event_tx, events) = unbounded::<WireMsg>();
-        let drops = Arc::new(AtomicU64::new(0));
-        let stats = Arc::new(TransportStats::new());
-        // Epoch for span wall stamps: the driver stamps each traced ack as
-        // it processes it, so one origin covers every span.
-        let epoch = Instant::now();
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers: Vec<Receiver<WireMsg>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let mut handles = Vec::with_capacity(n);
-        for (id, rx) in receivers.into_iter().enumerate() {
-            let peers = senders.clone();
-            let event_tx = event_tx.clone();
-            let drops = drops.clone();
-            let stats = stats.clone();
-            handles.push(std::thread::spawn(move || {
-                actor_loop(
-                    to_u32(id, "peer id"),
-                    rx,
-                    peers,
-                    event_tx,
-                    plan,
-                    drops,
-                    stats,
-                )
-            }));
-        }
-        // Readiness handshake: drain one Join per actor so no event frame
-        // from a later publication can race ahead of a still-starting peer.
-        let mut joined = 0;
-        while joined < n {
-            match events.recv_timeout(Duration::from_secs(10)) {
-                Ok(WireMsg::Join { .. }) => joined += 1,
-                Ok(_) => {}      // impossible before any publication; ignore
-                Err(_) => break, // a peer thread died; publish will time out
-            }
-        }
-        ThreadedNetwork {
-            senders,
-            handles,
+impl<L: Link> PeerNetwork<L> {
+    /// Starts one peer thread per seat, `open` turning each seat into that
+    /// peer's link (and parking any helper thread in `handles`), then waits
+    /// for every peer's [`WireMsg::Join`], so the network is fully up before
+    /// the first publication. The struct exists before the first thread
+    /// does, so every error path tears down through `shutdown`.
+    pub(crate) fn spawn_over<S>(
+        peers: L::Peers,
+        events: Receiver<WireMsg>,
+        plan: FaultPlan,
+        retry_max: u32,
+        seats: Vec<S>,
+        mut open: impl FnMut(S, &mut Self) -> io::Result<L>,
+    ) -> io::Result<Self> {
+        let n = seats.len();
+        let mut net = PeerNetwork {
+            peers,
+            handles: Vec::with_capacity(n),
             events,
             next_pub_id: 1,
             retry_max,
-            drops,
-            stats,
+            drops: Arc::new(AtomicU64::new(0)),
+            stats: Arc::new(TransportStats::new()),
             tracing: false,
-            epoch,
+            // One shared epoch makes cross-peer span deltas meaningful.
+            // Wall time is a measurement here, never a protocol decision.
+            // selint: allow(ambient-nondet, span wall stamps; canonical trace trees exclude them)
+            epoch: Instant::now(),
             spans: Vec::new(),
+        };
+        for (id, seat) in seats.into_iter().enumerate() {
+            let id = to_u32(id, "peer id");
+            let link = open(seat, &mut net)?;
+            let (peers, drops, stats) = (net.peers.clone(), net.drops.clone(), net.stats.clone());
+            let epoch = net.epoch;
+            net.handles.push(std::thread::spawn(move || {
+                peer_loop(id, link, &peers, plan, &drops, &stats, epoch)
+            }));
         }
-    }
-
-    /// Number of peers.
-    pub fn len(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// True if no peers were spawned.
-    pub fn is_empty(&self) -> bool {
-        self.senders.is_empty()
+        // Readiness handshake: drain one Join per peer so no event frame
+        // from a later publication can race ahead of a still-starting peer.
+        let mut joined = 0;
+        while joined < n {
+            match net.events.recv_timeout(Duration::from_secs(10)) {
+                Ok(WireMsg::Join { .. }) => joined += 1,
+                Ok(_) => {} // impossible before any publication; ignore
+                Err(_) => return Err(io::Error::new(io::ErrorKind::TimedOut, "peer never joined")),
+            }
+        }
+        Ok(net)
     }
 
     /// Publishes `payload` along `tree`, blocking until every subscriber in
-    /// the tree received it (or `timeout` elapsed).
-    ///
-    /// With a retry budget (see [`ThreadedNetwork::spawn_with_faults`]) the
-    /// timeout is split into `retry_max + 1` ack windows: subscribers still
-    /// unacked when a window closes are retransmitted to directly, with a
-    /// fresh attempt number so the fault plan redraws its drop decisions.
-    /// Per-actor dedup keeps redundant copies from double-delivering. The
-    /// loop itself is the transport-generic
-    /// [`crate::transport::publish_over`].
+    /// the tree received it (or `timeout` elapsed): [`publish_over`] with
+    /// the next publication id and the constructor's retry budget.
     pub fn publish(
         &mut self,
         tree: &RoutingTree,
@@ -172,19 +204,19 @@ impl ThreadedNetwork {
     /// [`WireMsg::ProbeReply`]. Returns the reply's `online` flag, or
     /// `None` on timeout / unknown peer.
     pub fn probe(&mut self, peer: u32, nonce: u64, timeout: Duration) -> Option<bool> {
-        if !self.send_to(
-            peer,
-            WireMsg::Probe {
-                from: u32::MAX,
-                nonce,
-                trace: None,
-            },
-        ) {
+        let probe = WireMsg::Probe {
+            from: u32::MAX,
+            nonce,
+            trace: None,
+        };
+        if !self.send_to(peer, probe) {
             return None;
         }
-        let deadline = std::time::Instant::now() + timeout;
+        // selint: allow(ambient-nondet, real-I/O probe deadline; the reply itself is plan-independent)
+        let deadline = Instant::now() + timeout;
         loop {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
+            // selint: allow(ambient-nondet, countdown against the waived deadline above)
+            let remaining = deadline.saturating_duration_since(Instant::now());
             match self.recv_event(remaining) {
                 Some(WireMsg::ProbeReply {
                     from,
@@ -197,77 +229,65 @@ impl ThreadedNetwork {
         }
     }
 
-    /// Stops all actors and joins their threads. Idempotent: calling it
+    /// Stops every peer (a [`WireMsg::Shutdown`] frame each) and joins all
+    /// threads, collecting the spans peers recorded. Idempotent: calling it
     /// again (or dropping the network afterwards) is a no-op.
     pub fn shutdown(&mut self) {
         if self.handles.is_empty() {
             return;
         }
-        for tx in &self.senders {
-            if tx.send(WireMsg::Shutdown).is_ok() {
-                self.stats
-                    .record_tx(8, encoded_frame_len(&WireMsg::Shutdown));
-            }
+        for peer in 0..to_u32(self.peers.count(), "peer count") {
+            self.send_to(peer, WireMsg::Shutdown);
         }
+        // Helper threads end once their peer did (TCP readers see EOF when
+        // the peer drops its control stream), so any join order terminates.
         for h in self.handles.drain(..) {
-            let _ = h.join();
+            if let Ok(spans) = h.join() {
+                self.spans.extend(spans);
+            }
         }
     }
 }
 
-impl Drop for ThreadedNetwork {
+impl<L: Link> Drop for PeerNetwork<L> {
     fn drop(&mut self) {
         self.shutdown();
     }
 }
 
-impl Transport for ThreadedNetwork {
+impl<L: Link> Transport for PeerNetwork<L> {
     fn len(&self) -> usize {
-        ThreadedNetwork::len(self)
+        self.peers.count()
     }
 
     fn send_to(&mut self, to: u32, msg: WireMsg) -> bool {
-        match self.senders.get(to as usize) {
-            Some(tx) => {
-                let tag = msg.tag();
-                let bytes = encoded_frame_len(&msg);
-                let ok = tx.send(msg).is_ok();
-                if ok {
-                    self.stats.record_tx(tag, bytes);
-                }
-                ok
-            }
-            None => false,
+        let (tag, bytes) = (msg.tag(), encoded_frame_len(&msg));
+        let ok = <L::Peers>::frame(msg).is_some_and(|f| self.peers.carry(to, &f, &self.stats));
+        if ok {
+            self.stats.record_tx(tag, bytes);
         }
+        ok
     }
 
     fn recv_event(&mut self, timeout: Duration) -> Option<WireMsg> {
         let msg = self.events.recv_timeout(timeout).ok()?;
-        // Driver-side span materialization: each traced ack echoes the
-        // context its delivery happened under (parent = forwarder's span,
-        // hop = tree depth), and the span id is a pure function of
-        // (trace, peer) — so the driver can build the span record without
-        // the actors buffering anything. Wall stamps are driver
-        // ack-processing times against one epoch; the events channel
-        // preserves causal order (a peer acks before it forwards), so
-        // stamps stay monotone along every chain. The delivering attempt
-        // is not in the ack, so driver-built spans always say attempt 0;
-        // the socket transport's peer-recorded spans keep real attempts.
-        if let WireMsg::Ack {
-            peer,
-            trace: Some(ctx),
-            ..
-        } = &msg
-        {
-            self.spans.push(SpanRecord {
-                trace_id: ctx.trace_id,
-                span_id: span_id(ctx.trace_id, *peer),
-                parent_span: ctx.parent_span,
-                peer: *peer,
-                hop: ctx.hop,
-                attempt: 0,
-                wall_us: self.epoch.elapsed().as_micros() as u64,
-            });
+        // Driver-side span materialization for in-process families: each
+        // traced ack echoes the context its delivery happened under (parent
+        // = forwarder's span, hop = tree depth), so the driver can build
+        // the record without the peers buffering anything. Wall stamps are
+        // ack-processing times; the events channel preserves causal order
+        // (a peer acks before it forwards), so they stay monotone along
+        // every chain. The delivering attempt is not in the ack: these
+        // spans always say attempt 0.
+        if L::IN_PROCESS {
+            if let WireMsg::Ack {
+                peer,
+                trace: Some(ctx),
+                ..
+            } = &msg
+            {
+                self.spans.push(delivery_span(*ctx, *peer, 0, self.epoch));
+            }
         }
         Some(msg)
     }
@@ -277,11 +297,11 @@ impl Transport for ThreadedNetwork {
     }
 
     fn peer_addr(&self, peer: u32) -> Option<PeerAddr> {
-        ((peer as usize) < self.senders.len()).then_some(PeerAddr::InProc(peer))
+        self.peers.addr(peer)
     }
 
     fn shutdown(&mut self) {
-        ThreadedNetwork::shutdown(self);
+        PeerNetwork::shutdown(self);
     }
 
     fn stats(&self) -> &TransportStats {
@@ -301,33 +321,67 @@ impl Transport for ThreadedNetwork {
     }
 }
 
-/// Sends a driver-bound event frame, counting both tx (the actor) and rx
-/// (the driver) here: the event channel is lossless and in-process, so
-/// counting at the send site keeps the totals a pure function of the plan
-/// even when the driver's ack loop returns before draining every event.
-fn send_event(events: &Sender<WireMsg>, stats: &TransportStats, msg: WireMsg) {
-    let tag = msg.tag();
-    let bytes = encoded_frame_len(&msg);
-    if events.send(msg).is_ok() {
+/// Sends a driver-bound event frame and counts it. In-process the driver's
+/// rx is counted here too: the hand-off is lossless, so the totals stay a
+/// pure function of the plan even when the ack loop returns before
+/// draining every event.
+fn send_event<L: Link>(link: &mut L, stats: &TransportStats, msg: WireMsg) -> bool {
+    let (tag, bytes) = (msg.tag(), encoded_frame_len(&msg));
+    let ok = link.event(msg);
+    if ok {
         stats.record_tx(tag, bytes);
-        stats.record_rx(tag, bytes);
+        if L::IN_PROCESS {
+            stats.record_rx(tag, bytes);
+        }
+    }
+    ok
+}
+
+/// The span of `peer`'s first delivery under `ctx`, stamped now. The span
+/// id is a pure function of (trace, peer), so the driver and the peer
+/// build the same record.
+fn delivery_span(ctx: TraceContext, peer: u32, attempt: u32, epoch: Instant) -> SpanRecord {
+    SpanRecord {
+        trace_id: ctx.trace_id,
+        span_id: span_id(ctx.trace_id, peer),
+        parent_span: ctx.parent_span,
+        peer,
+        hop: ctx.hop,
+        attempt,
+        wall_us: epoch.elapsed().as_micros() as u64,
     }
 }
 
-fn actor_loop(
+fn nap(d: Duration) {
+    if !d.is_zero() {
+        std::thread::sleep(d);
+    }
+}
+
+/// One peer: announce, then serve frames until shutdown or close. Returns
+/// the spans it recorded (always empty on in-process links).
+fn peer_loop<L: Link>(
     id: u32,
-    rx: Receiver<WireMsg>,
-    peers: Vec<Sender<WireMsg>>,
-    events: Sender<WireMsg>,
+    mut link: L,
+    peers: &L::Peers,
     plan: FaultPlan,
-    drops: Arc<AtomicU64>,
-    stats: Arc<TransportStats>,
-) {
-    send_event(&events, &stats, WireMsg::Join { peer: id });
-    // Each actor remembers publications it already handled so duplicate
-    // forwards (diamond trees, retransmissions) deliver once.
-    let mut seen: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    while let Ok(msg) = rx.recv() {
+    drops: &AtomicU64,
+    stats: &TransportStats,
+    epoch: Instant,
+) -> Vec<SpanRecord> {
+    let mut spans: Vec<SpanRecord> = Vec::new();
+    if !send_event(&mut link, stats, WireMsg::Join { peer: id }) {
+        return spans; // driver is gone; nothing to serve
+    }
+    // Publications this peer already handled: duplicate forwards (diamond
+    // trees, retransmissions) deliver once.
+    let mut seen: HashSet<u64> = HashSet::new();
+    while let Some(inbound) = link.recv() {
+        let Ok(msg) = inbound else {
+            stats.note_garbage_frame();
+            stats.note_codec_error_conn();
+            continue;
+        };
         stats.record_rx(msg.tag(), encoded_frame_len(&msg));
         match msg {
             WireMsg::Publish {
@@ -341,52 +395,57 @@ fn actor_loop(
                 if !seen.insert(pub_id) {
                     continue;
                 }
-                // First delivery of a traced publication: echo the
-                // delivery context verbatim in the ack (the driver
-                // materializes the span from it) and stamp forwards with
-                // this peer's own span as their parent.
-                let fwd_trace: Option<TraceContext> =
-                    trace.map(|ctx| ctx.child_of(span_id(ctx.trace_id, id)));
-                send_event(
-                    &events,
-                    &stats,
-                    WireMsg::Ack {
-                        pub_id,
-                        peer: id,
-                        bytes: payload.len() as u64,
-                        trace,
-                    },
-                );
-                if let Some(kids) = children_for(&children, id) {
-                    for &c in kids {
-                        match plan.frame_fate(pub_id, attempt, id, c) {
-                            FrameFate::Drop => {
-                                drops.fetch_add(1, Ordering::Relaxed);
-                            }
-                            FrameFate::Deliver { delay_ms } => {
-                                // Delay jitter: virtual ms compressed to
-                                // wall µs so tests stay fast while ordering
-                                // pressure is real.
-                                if delay_ms > 0.0 {
-                                    std::thread::sleep(Duration::from_micros(
-                                        delay_ms.ceil() as u64
-                                    ));
-                                }
-                                let Some(tx) = peers.get(c as usize) else {
-                                    continue; // malformed tree edge: no such peer
-                                };
-                                let fwd = WireMsg::Publish {
-                                    pub_id,
-                                    attempt,
-                                    publisher,
-                                    children: children.clone(),
-                                    payload: payload.clone(),
-                                    trace: fwd_trace,
-                                };
-                                let bytes = encoded_frame_len(&fwd);
-                                if tx.send(fwd).is_ok() {
-                                    stats.record_tx(6, bytes);
-                                }
+                // First delivery of a traced publication: echo the delivery
+                // context verbatim in the ack (the ack convention every
+                // family shares) and stamp forwards with this peer's own
+                // span as their parent. Off-process, also record the span
+                // here, with the real attempt and a per-hop wall stamp.
+                let fwd_trace: Option<TraceContext> = trace.map(|ctx| {
+                    if !L::IN_PROCESS {
+                        spans.push(delivery_span(ctx, id, attempt, epoch));
+                    }
+                    ctx.child_of(span_id(ctx.trace_id, id))
+                });
+                let ack = WireMsg::Ack {
+                    pub_id,
+                    peer: id,
+                    bytes: payload.len() as u64,
+                    trace,
+                };
+                send_event(&mut link, stats, ack);
+                let Some(kids) = children_for(&children, id) else {
+                    continue; // leaf: deliver locally, forward nothing
+                };
+                // Uploads serialize — each peer is one thread, like one NIC
+                // draining — so the pace is paid before *each* child.
+                let upload = link.pace(payload.len());
+                let fwd = WireMsg::Publish {
+                    pub_id,
+                    attempt,
+                    publisher,
+                    children: children.clone(),
+                    payload,
+                    trace: fwd_trace,
+                };
+                let bytes = encoded_frame_len(&fwd);
+                let Some(frame) = <L::Peers>::frame(fwd) else {
+                    continue; // unencodable (oversized) — cannot forward
+                };
+                for &c in kids {
+                    // The fault boundary: one fate per (publication,
+                    // attempt, directed link), drop drawn first.
+                    match plan.frame_fate(pub_id, attempt, id, c) {
+                        FrameFate::Drop => {
+                            // The uplink drained before the frame was lost.
+                            nap(upload);
+                            drops.fetch_add(1, Ordering::Relaxed);
+                        }
+                        FrameFate::Deliver { delay_ms } => {
+                            nap(upload + link.wall(delay_ms));
+                            // `carry` refuses malformed tree edges (no such
+                            // peer) and peers that already stopped.
+                            if peers.carry(c, &frame, stats) {
+                                stats.record_tx(6, bytes);
                             }
                         }
                     }
@@ -397,22 +456,19 @@ fn actor_loop(
                 nonce,
                 trace: _,
             } => {
-                send_event(
-                    &events,
-                    &stats,
-                    WireMsg::ProbeReply {
-                        from: id,
-                        nonce,
-                        online: true,
-                    },
-                );
+                let reply = WireMsg::ProbeReply {
+                    from: id,
+                    nonce,
+                    online: true,
+                };
+                send_event(&mut link, stats, reply);
             }
             WireMsg::Shutdown => break,
             // Gossip exchange frames route through the superstep engine,
-            // and ack/join frames are driver-bound: an actor receiving one
+            // and ack/join frames are driver-bound: a peer receiving one
             // ignores it rather than crashing the network. The list is
             // spelled out (no `_`) so a new wire tag fails to compile until
-            // this runtime decides what to do with it.
+            // the runtime decides what to do with it.
             WireMsg::ExchangeRt { .. }
             | WireMsg::ExchangeReply { .. }
             | WireMsg::Join { .. }
@@ -420,28 +476,106 @@ fn actor_loop(
             | WireMsg::ProbeReply { .. } => {}
         }
     }
+    spans
+}
+
+/// The channel family's address table: one sender per peer.
+#[derive(Clone)]
+pub struct ChannelPeers(Arc<[Sender<WireMsg>]>);
+
+impl Peers for ChannelPeers {
+    type Frame = WireMsg;
+
+    fn count(&self) -> usize {
+        self.0.len()
+    }
+
+    fn addr(&self, peer: u32) -> Option<PeerAddr> {
+        ((peer as usize) < self.0.len()).then_some(PeerAddr::InProc(peer))
+    }
+
+    fn frame(msg: WireMsg) -> Option<WireMsg> {
+        Some(msg)
+    }
+
+    /// Payload buffers are reference-counted and the child map sits behind
+    /// an `Arc`, so the per-child clone is O(1) — a relay handing on a
+    /// buffer it holds.
+    fn carry(&self, to: u32, frame: &WireMsg, _stats: &TransportStats) -> bool {
+        self.0
+            .get(to as usize)
+            .is_some_and(|tx| tx.send(frame.clone()).is_ok())
+    }
+}
+
+/// A peer endpoint on crossbeam channels: lossless, ordered, in-process.
+pub struct ChannelLink {
+    inbox: Receiver<WireMsg>,
+    events: Sender<WireMsg>,
+}
+
+impl ChannelLink {
+    /// Builds the channels for `n` peers: every peer's link, the address
+    /// table reaching them, and the driver's end of the event channel.
+    pub(crate) fn fabric(n: usize) -> (Vec<ChannelLink>, ChannelPeers, Receiver<WireMsg>) {
+        let (event_tx, events) = unbounded();
+        let (senders, inboxes): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+        let links = inboxes
+            .into_iter()
+            .map(|inbox| ChannelLink {
+                inbox,
+                events: event_tx.clone(),
+            })
+            .collect();
+        (links, ChannelPeers(senders.into()), events)
+    }
+}
+
+impl Link for ChannelLink {
+    type Peers = ChannelPeers;
+    const IN_PROCESS: bool = true;
+
+    fn event(&mut self, msg: WireMsg) -> bool {
+        self.events.send(msg).is_ok()
+    }
+
+    fn recv(&mut self) -> Option<Result<WireMsg, WireError>> {
+        self.inbox.recv().ok().map(Ok)
+    }
+}
+
+/// A network of peer actors linked by crossbeam channels.
+pub type ThreadedNetwork = PeerNetwork<ChannelLink>;
+
+impl ThreadedNetwork {
+    /// Spawns `n` peer actors on a fault-free network.
+    pub fn spawn(n: usize) -> Self {
+        Self::spawn_with_faults(n, FaultPlan::disabled(), 0)
+    }
+
+    /// Spawns `n` peer actors whose forwards run through `plan`: before
+    /// each child send the peer draws the plan's frame fate (keyed by
+    /// publication, attempt and directed link — deterministic and
+    /// replayable): drops are discarded and counted, delay jitter sleeps
+    /// before the send (virtual ms compressed to wall µs). `retry_max`
+    /// bounds the publisher-side ack-driven retransmission waves of
+    /// [`PeerNetwork::publish`].
+    pub fn spawn_with_faults(n: usize, plan: FaultPlan, retry_max: u32) -> Self {
+        let (links, peers, events) = ChannelLink::fabric(n);
+        PeerNetwork::spawn_over(peers, events, plan, retry_max, links, |link, _| Ok(link))
+            // selint: allow(panic-path, constructor not delivery; channel links cannot fail to open or join)
+            .expect("in-process peers always open and join")
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    //! `publish_over` behaviour that no link family can change, checked
+    //! once over the reference family. What every family owes the driver
+    //! is in [`crate::contract`].
+
     use super::*;
-    use std::collections::HashSet;
-
-    fn tree(publisher: u32, paths: Vec<Vec<u32>>) -> RoutingTree {
-        RoutingTree::from_paths(publisher, paths)
-    }
-
-    #[test]
-    fn payload_reaches_every_tree_node() {
-        let mut net = ThreadedNetwork::spawn(6);
-        let t = tree(0, vec![vec![0, 1, 2], vec![0, 3], vec![0, 1, 4]]);
-        let payload = Bytes::from(vec![7u8; 1024]);
-        let r = net.publish(&t, payload, Duration::from_secs(5));
-        let got: HashSet<u32> = r.delivered_to.clone();
-        assert_eq!(got, HashSet::from([1, 2, 3, 4]));
-        assert_eq!(r.bytes_received, 4 * 1024);
-        net.shutdown();
-    }
+    use crate::contract::tree;
 
     #[test]
     fn publisher_delivery_excluded() {
@@ -466,18 +600,6 @@ mod tests {
     }
 
     #[test]
-    fn payload_size_of_paper_scale_works() {
-        // The paper's 1.2 MB payload through a small chain.
-        let mut net = ThreadedNetwork::spawn(3);
-        let t = tree(0, vec![vec![0, 1, 2]]);
-        let payload = Bytes::from(vec![0u8; 1_200_000]);
-        let r = net.publish(&t, payload, Duration::from_secs(10));
-        assert_eq!(r.delivered_to.len(), 2);
-        assert_eq!(r.bytes_received, 2 * 1_200_000);
-        net.shutdown();
-    }
-
-    #[test]
     fn empty_tree_returns_immediately() {
         let mut net = ThreadedNetwork::spawn(2);
         let t = tree(0, vec![]);
@@ -494,42 +616,6 @@ mod tests {
         assert_eq!(r.delivered_to, HashSet::from([1, 2, 3]));
         assert_eq!(r.drops_injected, 0);
         assert_eq!(r.retries, 0);
-        net.shutdown();
-    }
-
-    #[test]
-    fn fire_and_forget_drops_match_the_plan() {
-        // Star tree 0 -> {1..=8}; no retries, so delivery is exactly the
-        // set of children whose (pub 1, attempt 0) edge survives the plan.
-        let plan = FaultPlan::seeded(42).with_drop_prob(0.4);
-        let expected: HashSet<u32> = (1..=8u32).filter(|&c| !plan.drops(1, 0, 0, c)).collect();
-        let dropped = 8 - expected.len() as u64;
-        assert!(
-            !expected.is_empty() && dropped > 0,
-            "seed 42 should mix outcomes (expected {expected:?})"
-        );
-        let mut net = ThreadedNetwork::spawn_with_faults(9, plan, 0);
-        let paths: Vec<Vec<u32>> = (1..=8u32).map(|c| vec![0, c]).collect();
-        let t = tree(0, paths);
-        let r = net.publish(&t, Bytes::from_static(b"d"), Duration::from_millis(800));
-        assert_eq!(r.delivered_to, expected);
-        assert_eq!(r.drops_injected, dropped);
-        assert_eq!(r.retries, 0);
-        net.shutdown();
-    }
-
-    #[test]
-    fn retries_recover_dropped_subscribers() {
-        // Same lossy star, but with a retry budget: retransmissions go
-        // straight to unacked peers, so everyone is reached.
-        let plan = FaultPlan::seeded(42).with_drop_prob(0.4);
-        let mut net = ThreadedNetwork::spawn_with_faults(9, plan, 3);
-        let paths: Vec<Vec<u32>> = (1..=8u32).map(|c| vec![0, c]).collect();
-        let t = tree(0, paths);
-        let r = net.publish(&t, Bytes::from_static(b"r"), Duration::from_secs(4));
-        assert_eq!(r.delivered_to.len(), 8, "retries should reach all peers");
-        assert!(r.retries > 0, "the lossy plan must have forced retries");
-        assert!(r.drops_injected > 0);
         net.shutdown();
     }
 
@@ -597,27 +683,6 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_is_idempotent_and_drop_is_safe() {
-        let mut net = ThreadedNetwork::spawn(3);
-        let t = tree(0, vec![vec![0, 1]]);
-        let r = net.publish(&t, Bytes::from_static(b"s"), Duration::from_secs(5));
-        assert_eq!(r.delivered_to, HashSet::from([1]));
-        net.shutdown();
-        net.shutdown(); // second call must be a no-op
-        drop(net); // and the Drop guard must not double-join
-        let abandoned = ThreadedNetwork::spawn(2);
-        drop(abandoned); // never-shut-down network joins cleanly via Drop
-    }
-
-    #[test]
-    fn probe_round_trips_over_the_wire_vocabulary() {
-        let mut net = ThreadedNetwork::spawn(3);
-        assert_eq!(net.probe(2, 77, Duration::from_secs(5)), Some(true));
-        assert_eq!(net.probe(9, 78, Duration::from_millis(50)), None);
-        net.shutdown();
-    }
-
-    #[test]
     fn transport_send_and_events_cover_the_driver_surface() {
         let mut net = ThreadedNetwork::spawn(2);
         assert_eq!(Transport::len(&net), 2);
@@ -625,103 +690,5 @@ mod tests {
         assert_eq!(net.peer_addr(2), None);
         assert!(!net.send_to(7, WireMsg::Shutdown));
         net.shutdown();
-    }
-
-    #[test]
-    fn stats_count_every_frame_per_tag() {
-        // Fault-free star 0 -> {1, 2, 3}: every count below is a pure
-        // function of the tree, so this doubles as the determinism pin.
-        let mut net = ThreadedNetwork::spawn(4);
-        let paths: Vec<Vec<u32>> = (1..=3u32).map(|c| vec![0, c]).collect();
-        let t = tree(0, paths);
-        let r = net.publish(&t, Bytes::from_static(b"s"), Duration::from_secs(5));
-        assert_eq!(r.delivered_to.len(), 3);
-        net.shutdown();
-        let snap = net.stats().snapshot();
-        assert_eq!(snap.frames_tx[1], 4, "one join per actor");
-        assert_eq!(snap.frames_rx[1], 4);
-        // Publish: 1 driver injection + 3 forwards from peer 0.
-        assert_eq!(snap.frames_tx[6], 4);
-        assert_eq!(snap.frames_rx[6], 4);
-        // Every peer (publisher included) acks its local delivery.
-        assert_eq!(snap.frames_tx[7], 4);
-        assert_eq!(snap.frames_rx[7], 4);
-        assert_eq!(snap.frames_tx[8], 4, "one shutdown per actor");
-        assert_eq!(snap.frames_rx[8], 4);
-        assert_eq!(snap.retransmissions, 0);
-        assert_eq!(snap.ack_window_expiries, 0);
-        assert_eq!(snap.reconnects, 0, "no sockets in-process");
-        assert_eq!(snap.garbage_frames, 0);
-        // Untraced publish frames carry a 1-byte absent-trace marker:
-        // header 8 + pub_id 8 + attempt 4 + publisher 4 + child map (4 +
-        // (4 + 4 + 3*4)) + payload (4 + 1) + trace 1.
-        assert_eq!(snap.bytes_tx[6], 4 * 54);
-        assert_eq!(
-            snap.bytes_tx[6],
-            4 * encoded_frame_len(&WireMsg::Publish {
-                pub_id: 1,
-                attempt: 0,
-                publisher: 0,
-                children: Arc::new(vec![(0, vec![1, 2, 3])]),
-                payload: Bytes::from_static(b"s"),
-                trace: None,
-            })
-        );
-    }
-
-    #[test]
-    fn retransmissions_and_expiries_are_counted() {
-        let plan = FaultPlan::seeded(42).with_drop_prob(0.4);
-        let mut net = ThreadedNetwork::spawn_with_faults(9, plan, 3);
-        let paths: Vec<Vec<u32>> = (1..=8u32).map(|c| vec![0, c]).collect();
-        let t = tree(0, paths);
-        let r = net.publish(&t, Bytes::from_static(b"r"), Duration::from_secs(4));
-        assert_eq!(r.delivered_to.len(), 8);
-        net.shutdown();
-        let snap = net.stats().snapshot();
-        assert_eq!(snap.retransmissions, r.retries);
-        assert!(snap.ack_window_expiries > 0, "a window must have expired");
-        assert!(snap.retransmissions >= snap.ack_window_expiries);
-    }
-
-    #[test]
-    fn tracing_records_a_complete_span_chain() {
-        let mut net = ThreadedNetwork::spawn(3);
-        net.set_tracing(true);
-        assert!(net.tracing());
-        let t = tree(0, vec![vec![0, 1, 2]]);
-        let r = net.publish(&t, Bytes::from_static(b"t"), Duration::from_secs(5));
-        assert_eq!(r.delivered_to, HashSet::from([1, 2]));
-        net.shutdown();
-        let mut spans = net.drain_spans();
-        spans.sort_by_key(|s| s.hop);
-        assert_eq!(spans.len(), 3, "publisher + both chain peers");
-        assert_eq!(spans[0].peer, 0);
-        assert_eq!(spans[0].parent_span, 0, "root span hangs off the driver");
-        assert_eq!(spans[1].parent_span, spans[0].span_id);
-        assert_eq!(spans[2].parent_span, spans[1].span_id);
-        assert_eq!(
-            spans.iter().map(|s| s.hop).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
-        assert!(spans.iter().all(|s| s.attempt == 0));
-        assert!(
-            spans.windows(2).all(|w| w[0].wall_us <= w[1].wall_us),
-            "shared epoch orders the chain"
-        );
-        // Chain assembly agrees with the delivery set.
-        let mut asm = osn_obs::TraceAssembler::new();
-        asm.absorb(spans);
-        assert!(asm.chain_complete(1, &[0, 1, 2]));
-    }
-
-    #[test]
-    fn tracing_off_records_nothing_and_drain_is_idempotent() {
-        let mut net = ThreadedNetwork::spawn(3);
-        let t = tree(0, vec![vec![0, 1], vec![0, 2]]);
-        net.publish(&t, Bytes::from_static(b"u"), Duration::from_secs(5));
-        net.shutdown();
-        assert!(net.drain_spans().is_empty());
-        assert!(net.drain_spans().is_empty());
     }
 }

@@ -1,44 +1,27 @@
-//! Throttled actor runtime: real threads, real time, modelled bandwidth.
+//! Bandwidth-throttled link family: real threads, real time, modelled
+//! uplinks.
 //!
 //! [`crate::runtime::ThreadedNetwork`] checks *behaviour*;
 //! [`ThrottledNetwork`] additionally makes each peer's uplink cost real
-//! wall-clock time: before forwarding the payload to each tree child, the
-//! actor sleeps `transfer_time(payload, bw) / compression` — uploads
-//! serialize naturally because each peer is one thread. This lets the
+//! wall-clock time. It is the channel family with two overrides: before
+//! each child's forward the shared peer loop sleeps [`Link::pace`] =
+//! `transfer_time(payload, bw) / compression` — uploads serialize naturally
+//! because each peer is one thread — and fault-plan jitter is compressed on
+//! the same scale. A dropped upload still pays its upload time (the
+//! sender's NIC drained before the packet was lost). This lets the
 //! repository *validate* the virtual-time model of [`crate::timing`]: the
 //! same tree, driven by actual concurrent threads, must reproduce the
 //! model's arrival-order predictions (see the `agrees_with_transfer_sim`
 //! test).
 
-use crate::codec::encoded_frame_len;
-use crate::stats::TransportStats;
-use crate::transport::{PeerAddr, Transport};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use osn_graph::ids::to_u32;
-use osn_obs::trace::{span_id, SpanRecord};
+use crate::codec::WireError;
+use crate::runtime::{ChannelLink, ChannelPeers, Link, PeerNetwork};
+use bytes::Bytes;
 use osn_sim::latency::transfer_time;
 use osn_sim::FaultPlan;
 use select_core::pubsub::RoutingTree;
-use select_core::wire::{children_for, children_of, ChildMap, TraceContext, WireMsg};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-enum Msg {
-    Payload {
-        pub_id: u64,
-        /// Virtual payload size in bytes (no buffer needed: the throttle is
-        /// the observable, not the copy).
-        bytes: u64,
-        children: Arc<ChildMap>,
-        /// Trace context the delivering frame carried; re-stamped on
-        /// forwards and echoed in the synthesized ack, so traced
-        /// publications stay causally linked even on this virtual runtime.
-        trace: Option<TraceContext>,
-    },
-    Stop,
-}
+use select_core::wire::WireMsg;
+use std::time::Duration;
 
 /// One delivery observation with its wall-clock arrival.
 #[derive(Clone, Debug)]
@@ -89,31 +72,38 @@ impl TimedPublishResult {
     }
 }
 
-/// One observed delivery pumped back to the driver: publication, peer,
-/// virtual bytes, wall arrival, and the trace context to echo in the
-/// synthesized ack.
-type Delivery = (u64, u32, u64, Instant, Option<TraceContext>);
+/// A channel endpoint whose uplink has a bandwidth.
+pub struct ThrottledLink {
+    chan: ChannelLink,
+    /// This peer's upload bandwidth, bytes per virtual ms.
+    bandwidth: f64,
+    /// Virtual ms per wall ms.
+    compression: f64,
+}
+
+impl Link for ThrottledLink {
+    type Peers = ChannelPeers;
+    const IN_PROCESS: bool = true;
+
+    fn event(&mut self, msg: WireMsg) -> bool {
+        self.chan.event(msg)
+    }
+
+    fn recv(&mut self) -> Option<Result<WireMsg, WireError>> {
+        self.chan.recv()
+    }
+
+    fn wall(&self, virtual_ms: f64) -> Duration {
+        Duration::from_secs_f64((virtual_ms / self.compression / 1_000.0).max(0.0))
+    }
+
+    fn pace(&self, len: usize) -> Duration {
+        self.wall(transfer_time(len as u64, self.bandwidth))
+    }
+}
 
 /// A network of upload-throttled peer actors.
-pub struct ThrottledNetwork {
-    senders: Vec<Sender<Msg>>,
-    handles: Vec<JoinHandle<()>>,
-    deliveries: Receiver<Delivery>,
-    next_pub_id: u64,
-    drops: Arc<AtomicU64>,
-    /// Wire telemetry counted at the driver boundary ([`Transport::send_to`]
-    /// / [`Transport::recv_event`]): peer→child forwards are virtual-sized
-    /// model events, not frames, so they are not counted.
-    stats: TransportStats,
-    tracing: bool,
-    /// Origin for span wall stamps (delivery `Instant`s from peer threads).
-    epoch: Instant,
-    /// Driver-materialized spans, one per traced synthesized ack: the
-    /// delivery tuple carries the context verbatim plus the peer thread's
-    /// arrival stamp, so even this virtual runtime yields causally linked,
-    /// wall-stamped traces.
-    spans: Vec<SpanRecord>,
-}
+pub type ThrottledNetwork = PeerNetwork<ThrottledLink>;
 
 impl ThrottledNetwork {
     /// Spawns `n` actors with the given per-peer bandwidths (bytes per
@@ -128,10 +118,10 @@ impl ThrottledNetwork {
     }
 
     /// Like [`ThrottledNetwork::spawn`], but each upload additionally runs
-    /// through `plan`: dropped transmissions still pay their upload sleep
-    /// (the sender's NIC drained before the packet was lost) and the plan's
-    /// delay jitter stretches the transfer, so fault-induced latency shows
-    /// up in arrival times, not just in missing deliveries.
+    /// through `plan` under the shared fate rule: a dropped transmission
+    /// still pays its upload sleep and the plan's delay jitter stretches a
+    /// delivered one, so fault-induced latency shows up in arrival times,
+    /// not just in missing deliveries.
     ///
     /// # Panics
     /// Panics if `bandwidth.len() != n` or `compression <= 0`.
@@ -143,302 +133,61 @@ impl ThrottledNetwork {
     ) -> Self {
         assert_eq!(bandwidth.len(), n, "one bandwidth per peer");
         assert!(compression > 0.0);
-        let (delivery_tx, deliveries) = unbounded();
-        let drops = Arc::new(AtomicU64::new(0));
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers: Vec<Receiver<Msg>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let mut handles = Vec::with_capacity(n);
-        for (id, rx) in receivers.into_iter().enumerate() {
-            let peers = senders.clone();
-            let delivery_tx = delivery_tx.clone();
-            let drop_count = drops.clone();
-            // selint: allow(panic-path, constructor not delivery; lengths asserted equal above)
-            let bw = bandwidth[id];
-            let id = to_u32(id, "peer id");
-            handles.push(std::thread::spawn(move || {
-                let mut seen = std::collections::HashSet::new();
-                while let Ok(msg) = rx.recv() {
-                    match msg {
-                        Msg::Payload {
-                            pub_id,
-                            bytes,
-                            children,
-                            trace,
-                        } => {
-                            if !seen.insert(pub_id) {
-                                continue;
-                            }
-                            // Echo the delivery context verbatim (the
-                            // ack convention all runtimes share — the
-                            // driver derives this peer's span from it);
-                            // forwards are re-stamped one hop deeper.
-                            let fwd_trace =
-                                trace.map(|ctx| ctx.child_of(span_id(ctx.trace_id, id)));
-                            let _ = delivery_tx.send((pub_id, id, bytes, Instant::now(), trace));
-                            if let Some(kids) = children_for(&children, id) {
-                                // Child lists are built from the sorted
-                                // edges() and stay ascending.
-                                let per_upload = transfer_time(bytes, bw) / compression;
-                                for &c in kids {
-                                    // Serialized upload: sleep before *each*
-                                    // child's send, like one NIC draining.
-                                    // Fault jitter stretches the transfer
-                                    // (compressed on the same scale).
-                                    let jitter = plan.delay_ms(pub_id, 0, id, c) / compression;
-                                    std::thread::sleep(Duration::from_secs_f64(
-                                        ((per_upload + jitter) / 1_000.0).max(0.0),
-                                    ));
-                                    if plan.drops(pub_id, 0, id, c) {
-                                        // The upload time was spent, but the
-                                        // packet is lost on the wire. (Not
-                                        // frame_fate: here a drop still pays
-                                        // its upload sleep.)
-                                        drop_count.fetch_add(1, Ordering::Relaxed);
-                                        continue;
-                                    }
-                                    let Some(tx) = peers.get(c as usize) else {
-                                        continue; // malformed tree edge
-                                    };
-                                    let _ = tx.send(Msg::Payload {
-                                        pub_id,
-                                        bytes,
-                                        children: children.clone(),
-                                        trace: fwd_trace,
-                                    });
-                                }
-                            }
-                        }
-                        Msg::Stop => break,
-                    }
-                }
-            }));
-        }
-        ThrottledNetwork {
-            senders,
-            handles,
-            deliveries,
-            next_pub_id: 1,
-            drops,
-            stats: TransportStats::new(),
-            tracing: false,
-            epoch: Instant::now(),
-            spans: Vec::new(),
-        }
+        let (links, peers, events) = ChannelLink::fabric(n);
+        let seats = links.into_iter().zip(bandwidth).collect();
+        PeerNetwork::spawn_over(peers, events, plan, 0, seats, |(chan, bandwidth), _| {
+            Ok(ThrottledLink {
+                chan,
+                bandwidth,
+                compression,
+            })
+        })
+        // selint: allow(panic-path, constructor not delivery; channel links cannot fail to open or join)
+        .expect("in-process peers always open and join")
     }
 
-    /// Number of peers.
-    pub fn len(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// True if no peers were spawned.
-    pub fn is_empty(&self) -> bool {
-        self.senders.is_empty()
-    }
-
-    /// Publishes a virtual payload of `bytes` along `tree`, blocking until
-    /// every tree node received it or `timeout` elapsed.
-    pub fn publish(
+    /// Publishes a zero-filled payload of `bytes` along `tree` and reports
+    /// when each subscriber's ack reached the driver, blocking until every
+    /// tree node received it or `timeout` elapsed.
+    ///
+    /// A view over what [`PeerNetwork::publish`] already yields when traced
+    /// — one span per acked peer, stamped in order as the driver processes
+    /// the ack — so tracing is forced on for the call; the spans stay
+    /// buffered afterwards only if the caller had tracing on.
+    pub fn publish_timed(
         &mut self,
         tree: &RoutingTree,
         bytes: u64,
         timeout: Duration,
     ) -> TimedPublishResult {
-        let pub_id = self.next_pub_id;
-        self.next_pub_id += 1;
-        // edges() is sorted, so each node serializes its uploads to children
-        // in a stable ascending order (the recorded per-delivery elapsed
-        // times depend on it).
-        let children = children_of(tree);
-        let expect = children
+        let payload = Bytes::from(vec![0u8; bytes as usize]);
+        let (pub_id, first, was_tracing) = (self.next_pub_id, self.spans.len(), self.tracing);
+        let start_us = self.epoch.elapsed().as_micros() as u64;
+        self.tracing = true;
+        let acked = self.publish(tree, payload, timeout).delivered_to;
+        self.tracing = was_tracing;
+        let deliveries = self
+            .spans
             .iter()
-            .flat_map(|(_, kids)| kids.iter())
-            .filter(|&&v| v != tree.publisher)
-            .count();
-        let start = Instant::now();
-        let mut result = TimedPublishResult::default();
-        // A publisher outside this runtime (or one already shut down)
-        // delivers nothing rather than panicking mid-delivery.
-        let seeded = self.senders.get(tree.publisher as usize).map(|tx| {
-            tx.send(Msg::Payload {
-                pub_id,
-                bytes,
-                children: Arc::new(children),
-                trace: self.tracing.then(|| TraceContext::root(pub_id)),
+            .skip(first)
+            .filter(|s| s.trace_id == pub_id && acked.contains(&s.peer))
+            .map(|s| TimedDelivery {
+                peer: s.peer,
+                elapsed: Duration::from_micros(s.wall_us.saturating_sub(start_us)),
             })
-        });
-        if !matches!(seeded, Some(Ok(()))) {
-            return result;
+            .collect();
+        if !was_tracing {
+            self.spans.truncate(first);
         }
-        let deadline = start + timeout;
-        let mut got = std::collections::HashSet::new();
-        while got.len() < expect {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match self.deliveries.recv_timeout(remaining) {
-                Ok((id, peer, _bytes, at, _trace)) if id == pub_id && peer != tree.publisher => {
-                    if got.insert(peer) {
-                        result.deliveries.push(TimedDelivery {
-                            peer,
-                            elapsed: at.saturating_duration_since(start),
-                        });
-                    }
-                }
-                Ok(_) => {}
-                Err(_) => break,
-            }
-        }
-        result.deliveries.sort_by_key(|d| d.elapsed);
-        result
-    }
-
-    /// Stops every actor and joins the threads. Idempotent: calling it
-    /// again (or dropping the network afterwards) is a no-op.
-    pub fn shutdown(&mut self) {
-        if self.handles.is_empty() {
-            return;
-        }
-        for tx in &self.senders {
-            let _ = tx.send(Msg::Stop);
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ThrottledNetwork {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl Transport for ThrottledNetwork {
-    fn len(&self) -> usize {
-        ThrottledNetwork::len(self)
-    }
-
-    /// Maps the wire vocabulary onto the throttle's virtual-size messages:
-    /// a [`WireMsg::Publish`] becomes a payload whose *size* is the real
-    /// payload's length (the throttle models the transfer, not the copy),
-    /// and [`WireMsg::Shutdown`] stops the actor. Other frames have no
-    /// throttled meaning and are refused.
-    fn send_to(&mut self, to: u32, msg: WireMsg) -> bool {
-        let Some(tx) = self.senders.get(to as usize) else {
-            return false;
-        };
-        // Frame sizes are what the message *would* cost on the wire: the
-        // throttle never encodes, but the telemetry stays comparable.
-        let (tag, frame_bytes) = (msg.tag(), encoded_frame_len(&msg));
-        match msg {
-            WireMsg::Publish {
-                pub_id,
-                children,
-                payload,
-                trace,
-                ..
-            } => {
-                let ok = tx
-                    .send(Msg::Payload {
-                        pub_id,
-                        bytes: payload.len() as u64,
-                        children,
-                        trace,
-                    })
-                    .is_ok();
-                if ok {
-                    self.stats.record_tx(tag, frame_bytes);
-                }
-                ok
-            }
-            WireMsg::Shutdown => {
-                let ok = tx.send(Msg::Stop).is_ok();
-                if ok {
-                    self.stats.record_tx(tag, frame_bytes);
-                }
-                ok
-            }
-            // Control-plane frames have no throttled meaning: the throttle
-            // models upload contention for payload dissemination only. The
-            // refusal list is spelled out (no `_`) so a new wire tag fails
-            // to compile until this runtime decides what to do with it.
-            WireMsg::Join { .. }
-            | WireMsg::ExchangeRt { .. }
-            | WireMsg::ExchangeReply { .. }
-            | WireMsg::Probe { .. }
-            | WireMsg::ProbeReply { .. }
-            | WireMsg::Ack { .. } => false,
-        }
-    }
-
-    fn recv_event(&mut self, timeout: Duration) -> Option<WireMsg> {
-        let (pub_id, peer, bytes, at, trace) = self.deliveries.recv_timeout(timeout).ok()?;
-        // Driver-side span materialization from the echoed context, like
-        // the threaded runtime — but stamped with the peer thread's
-        // delivery time, which on this runtime models the throttled
-        // transfer schedule. Attempts are not in the echo: always 0.
-        if let Some(ctx) = trace {
-            self.spans.push(SpanRecord {
-                trace_id: ctx.trace_id,
-                span_id: span_id(ctx.trace_id, peer),
-                parent_span: ctx.parent_span,
-                peer,
-                hop: ctx.hop,
-                attempt: 0,
-                wall_us: at.saturating_duration_since(self.epoch).as_micros() as u64,
-            });
-        }
-        let ack = WireMsg::Ack {
-            pub_id,
-            peer,
-            bytes,
-            trace,
-        };
-        self.stats.record_rx(7, encoded_frame_len(&ack));
-        Some(ack)
-    }
-
-    fn drops_injected(&self) -> u64 {
-        self.drops.load(Ordering::Relaxed)
-    }
-
-    fn peer_addr(&self, peer: u32) -> Option<PeerAddr> {
-        ((peer as usize) < self.senders.len()).then_some(PeerAddr::InProc(peer))
-    }
-
-    fn shutdown(&mut self) {
-        ThrottledNetwork::shutdown(self);
-    }
-
-    fn stats(&self) -> &TransportStats {
-        &self.stats
-    }
-
-    fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-    }
-
-    fn tracing(&self) -> bool {
-        self.tracing
-    }
-
-    fn drain_spans(&mut self) -> Vec<SpanRecord> {
-        std::mem::take(&mut self.spans)
+        TimedPublishResult { deliveries }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::contract::tree;
     use crate::timing::TransferSim;
-
-    fn tree(publisher: u32, paths: Vec<Vec<u32>>) -> RoutingTree {
-        RoutingTree::from_paths(publisher, paths)
-    }
 
     /// 1.2 MB at 1200 B/ms = 1000 virtual ms; compression 100 → 10 ms wall.
     const BYTES: u64 = 1_200_000;
@@ -449,7 +198,7 @@ mod tests {
     fn star_children_arrive_serialized() {
         let mut net = ThrottledNetwork::spawn(5, vec![BW; 5], COMPRESSION);
         let t = tree(0, vec![vec![0, 1], vec![0, 2], vec![0, 3], vec![0, 4]]);
-        let r = net.publish(&t, BYTES, Duration::from_secs(10));
+        let r = net.publish_timed(&t, BYTES, Duration::from_secs(10));
         assert_eq!(r.deliveries.len(), 4);
         // Children are served in id order; arrival times must be strictly
         // increasing with roughly one upload gap between consecutive ones.
@@ -466,7 +215,7 @@ mod tests {
     fn chain_accumulates_latency() {
         let mut net = ThrottledNetwork::spawn(4, vec![BW; 4], COMPRESSION);
         let t = tree(0, vec![vec![0, 1, 2, 3]]);
-        let r = net.publish(&t, BYTES, Duration::from_secs(10));
+        let r = net.publish_timed(&t, BYTES, Duration::from_secs(10));
         let a1 = r.arrival_of(1).unwrap();
         let a2 = r.arrival_of(2).unwrap();
         let a3 = r.arrival_of(3).unwrap();
@@ -484,7 +233,7 @@ mod tests {
         let predicted = sim.simulate(&t);
 
         let mut net = ThrottledNetwork::spawn(5, bandwidth, COMPRESSION);
-        let r = net.publish(&t, BYTES, Duration::from_secs(20));
+        let r = net.publish_timed(&t, BYTES, Duration::from_secs(20));
         net.shutdown();
 
         // Fast direct child 2 must beat the slow hub's children in both the
@@ -500,7 +249,7 @@ mod tests {
         let t = tree(0, vec![vec![0, 1], vec![0, 2], vec![0, 3]]);
         let run = |bw: f64| {
             let mut net = ThrottledNetwork::spawn(4, vec![bw; 4], COMPRESSION);
-            let r = net.publish(&t, BYTES, Duration::from_secs(10));
+            let r = net.publish_timed(&t, BYTES, Duration::from_secs(10));
             net.shutdown();
             r.max_latency()
         };
@@ -525,7 +274,7 @@ mod tests {
         );
         let mut net = ThrottledNetwork::spawn_with_faults(7, vec![BW; 7], COMPRESSION, plan);
         let paths: Vec<Vec<u32>> = (1..=6u32).map(|c| vec![0, c]).collect();
-        let r = net.publish(&tree(0, paths), BYTES, Duration::from_millis(900));
+        let r = net.publish_timed(&tree(0, paths), BYTES, Duration::from_millis(900));
         net.shutdown();
         let mut got: Vec<u32> = r.deliveries.iter().map(|d| d.peer).collect();
         got.sort_unstable();
@@ -535,7 +284,7 @@ mod tests {
     #[test]
     fn latency_histogram_reads_in_virtual_ms() {
         let mut net = ThrottledNetwork::spawn(3, vec![BW; 3], COMPRESSION);
-        let r = net.publish(
+        let r = net.publish_timed(
             &tree(0, vec![vec![0, 1, 2]]),
             BYTES,
             Duration::from_secs(10),
@@ -556,7 +305,7 @@ mod tests {
     #[test]
     fn empty_tree_is_instant() {
         let mut net = ThrottledNetwork::spawn(2, vec![BW; 2], COMPRESSION);
-        let r = net.publish(&tree(0, vec![]), BYTES, Duration::from_millis(100));
+        let r = net.publish_timed(&tree(0, vec![]), BYTES, Duration::from_millis(100));
         assert!(r.deliveries.is_empty());
         assert_eq!(r.max_latency(), Duration::ZERO);
         net.shutdown();

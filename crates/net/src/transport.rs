@@ -1,19 +1,17 @@
-//! The [`Transport`] abstraction: what every network runtime owes the
-//! publish driver.
+//! The [`Transport`] abstraction: what a network runtime owes the publish
+//! driver.
 //!
-//! The repository has three ways to move a [`WireMsg`] between peers — the
-//! threaded channel runtime ([`crate::runtime`]), the upload-throttled
-//! runtime ([`crate::throttled`]) and the TCP socket runtime
-//! ([`crate::socket`]). They differ in what a "link" is, but the publisher
-//! harness needs the same four capabilities from all of them: inject a
-//! frame at a peer, hear events (acks, joins, probe replies) back, count
-//! the fault plan's drops, and shut down. [`Transport`] pins exactly that
-//! surface, and [`publish_over`] implements the ack-window/retransmission
-//! loop **once**, generically — so the retry policy cannot drift between
-//! transports and a conformance test can replay one seed over two
-//! transports and compare delivery sets.
+//! The publisher harness needs four capabilities: inject a frame at a peer,
+//! hear events (acks, joins, probe replies) back, count the fault plan's
+//! drops, and shut down. [`Transport`] pins exactly that surface, and
+//! [`publish_over`] implements the ack-window/retransmission loop **once**
+//! against it — so the retry policy cannot drift between link families and
+//! a conformance test can replay one seed over two of them and compare
+//! delivery sets. The trait has one implementor,
+//! [`crate::runtime::PeerNetwork`], generic over how frames move; harnesses
+//! hold `&mut dyn Transport` to swap families behind one publish path.
 //!
-//! Semantics every implementation must honour (the conformance contract):
+//! Semantics the implementation honours (the conformance contract):
 //!
 //! * [`Transport::send_to`] is a **driver injection**: it draws no fault
 //!   decision. Only peer→child forwards inside the transport consult the
@@ -77,8 +75,8 @@ pub trait Transport {
     /// This transport's live wire-telemetry counters (shared with its peer
     /// threads). Counting conventions: every frame records tx at its
     /// sender and rx at its receiver, with byte sizes from
-    /// [`crate::codec::encoded_frame_len`], so the in-process transports
-    /// report the same totals the socket transport pays for real.
+    /// [`crate::codec::encoded_frame_len`], so the in-process families
+    /// report the same totals the socket family pays for real.
     fn stats(&self) -> &TransportStats;
 
     /// Turns wire-level tracing on or off for subsequent publications.
@@ -90,12 +88,11 @@ pub trait Transport {
     /// contexts.
     fn tracing(&self) -> bool;
 
-    /// Drains the span records this transport collected. The socket
-    /// transport buffers spans on its peer threads and flushes them when
-    /// they exit, so its set is complete only after
-    /// [`Transport::shutdown`]; the in-process runtimes materialize spans
-    /// driver-side from ack echoes as the acks are processed. Either way,
-    /// draining after shutdown observes every span.
+    /// Drains the span records this transport collected. TCP peers buffer
+    /// spans on their own threads and hand them over when joined, so that
+    /// set is complete only after [`Transport::shutdown`]; in-process
+    /// families materialize spans driver-side as acks are processed. Either
+    /// way, draining after shutdown observes every span.
     fn drain_spans(&mut self) -> Vec<SpanRecord>;
 }
 

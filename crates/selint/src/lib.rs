@@ -17,9 +17,10 @@
 //! * **L2 `ambient-nondet`** — no ambient nondeterminism (`Instant::now`,
 //!   `SystemTime`, `thread_rng`, `RandomState`, env reads) in
 //!   `crates/{core, overlay, lsh, sim, obs}/src`, plus the wire stack
-//!   (`crates/net/src/{codec, transport, socket}.rs`): the codec must be a
-//!   pure function of its bytes, and the transport layer may touch the wall
-//!   clock only at explicitly waived I/O-deadline sites.
+//!   (`crates/net/src/{codec, transport, runtime, socket, throttled}.rs`):
+//!   the codec must be a pure function of its bytes, and the transport
+//!   layer may touch the wall clock only at explicitly waived sites (ack
+//!   and probe deadlines, the span epoch).
 //! * **L3 `hotpath-alloc`** — no allocation-prone calls (`collect`,
 //!   `to_vec`, `clone`, `format!`, `to_owned`, `to_string`) inside functions
 //!   annotated `#[hotpath]` (anywhere in the workspace) — **transitively**:
@@ -28,16 +29,15 @@
 //!   chain and anchored at the allocation site (so a waiver there covers
 //!   every chain that reaches it).
 //! * **L4 `panic-path`** — no panicking indexing or `unwrap`/`expect` in the
-//!   fault-injection delivery paths (`crates/sim/src/fault.rs`,
-//!   `crates/net/src/runtime.rs`, `crates/net/src/throttled.rs`) and the
-//!   whole wire stack (`crates/net/src/{codec, transport, socket}.rs`):
-//!   malformed bytes off a socket must surface as `WireError`s, never
-//!   panics.
+//!   fault-injection delivery path (`crates/sim/src/fault.rs`) and the
+//!   whole wire stack (`crates/net/src/{codec, transport, runtime, socket,
+//!   throttled}.rs`): malformed bytes off a socket must surface as
+//!   `WireError`s, never panics.
 //! * **L5 `wire-exhaustive`** — every `WireMsg` variant declared in
 //!   `crates/core/src/wire.rs` must have an encode arm and a decode arm in
-//!   the codec and must be dispatched (or explicitly ignored) by each of the
-//!   three `Transport` impls (`runtime.rs`, `socket.rs`, `throttled.rs`), so
-//!   adding wire tag 9 without touching a runtime fails CI.
+//!   the codec and must be dispatched (or explicitly ignored) by the one
+//!   peer loop all link families share (`crates/net/src/runtime.rs`), so
+//!   adding wire tag 9 without touching the runtime fails CI.
 //! * **L6 `lock-order`** — inconsistent pairwise lock orderings (lock `A`
 //!   then `B` on one path, `B` then `A` on another, directly or through
 //!   callees) and blocking calls (`recv`/`accept`/`read`/`write`/`sleep`)
@@ -244,23 +244,19 @@ pub fn scope_for(rel: &str) -> Scope {
         "crates/sim/src/",
         "crates/obs/src/",
     ];
-    // The wire stack joins L2 file-by-file rather than by directory:
-    // runtime.rs/throttled.rs legitimately block on wall-clock timeouts all
-    // over, while the codec must be pure and the transport layer may only
-    // touch the clock at explicitly waived deadline sites.
-    const L2_FILES: &[&str] = &[
+    // The wire stack: the codec, the publish driver, the one peer runtime
+    // and its link families. It joins L2 file-by-file rather than by
+    // directory (timing.rs models virtual time and stays out): the codec
+    // must be pure, and the rest may only touch the clock at explicitly
+    // waived sites. The same files are panic-free under L4.
+    const WIRE_STACK: &[&str] = &[
         "crates/net/src/codec.rs",
         "crates/net/src/transport.rs",
-        "crates/net/src/socket.rs",
-    ];
-    const L4_FILES: &[&str] = &[
-        "crates/sim/src/fault.rs",
         "crates/net/src/runtime.rs",
-        "crates/net/src/throttled.rs",
-        "crates/net/src/codec.rs",
-        "crates/net/src/transport.rs",
         "crates/net/src/socket.rs",
+        "crates/net/src/throttled.rs",
     ];
+    const L4_FILES: &[&str] = &["crates/sim/src/fault.rs"];
     // The thread-per-peer transports are where guards and blocking syscalls
     // meet; lock-order discipline is enforced crate-wide there.
     const L6_DIRS: &[&str] = &["crates/net/src/"];
@@ -270,8 +266,8 @@ pub fn scope_for(rel: &str) -> Scope {
     const L7_FILES: &[&str] = &["crates/core/src/wire.rs"];
     Scope {
         l1: L1_DIRS.iter().any(|d| rel.starts_with(d)),
-        l2: L2_DIRS.iter().any(|d| rel.starts_with(d)) || L2_FILES.contains(&rel),
-        l4: L4_FILES.contains(&rel),
+        l2: L2_DIRS.iter().any(|d| rel.starts_with(d)) || WIRE_STACK.contains(&rel),
+        l4: L4_FILES.contains(&rel) || WIRE_STACK.contains(&rel),
         l6: L6_DIRS.iter().any(|d| rel.starts_with(d)),
         l7: L7_DIRS.iter().any(|d| rel.starts_with(d)) || L7_FILES.contains(&rel),
     }
@@ -1231,20 +1227,23 @@ mod tests {
 
     #[test]
     fn scope_limits_rules() {
-        let nets = scope_for("crates/net/src/runtime.rs");
-        assert!(nets.l4 && !nets.l1 && !nets.l2);
-        assert!(nets.l6 && nets.l7, "wire stack gets lock + cast discipline");
-        // The wire stack is both panic-free (L4) and clock-disciplined (L2);
-        // timing.rs is neither — it predates the wire refactor and models
-        // virtual time only.
+        // The wire stack is both panic-free (L4) and clock-disciplined (L2)
+        // and gets lock + cast discipline with the rest of the net crate;
+        // timing.rs is neither L2 nor L4 — it predates the wire refactor
+        // and models virtual time only.
         for wire in [
             "crates/net/src/codec.rs",
             "crates/net/src/transport.rs",
+            "crates/net/src/runtime.rs",
             "crates/net/src/socket.rs",
+            "crates/net/src/throttled.rs",
         ] {
             let s = scope_for(wire);
             assert!(s.l2 && s.l4 && !s.l1, "{wire}");
+            assert!(s.l6 && s.l7, "{wire}");
         }
+        let fault = scope_for("crates/sim/src/fault.rs");
+        assert!(fault.l4 && fault.l1 && fault.l2);
         let timing = scope_for("crates/net/src/timing.rs");
         assert!(!timing.l1 && !timing.l2 && !timing.l4);
         assert!(timing.l6 && timing.l7, "still in the net crate");

@@ -1,21 +1,21 @@
 //! L5 `wire-exhaustive`: every `WireMsg` variant declared in
 //! `crates/core/src/wire.rs` must have an encode arm and a decode arm in the
-//! codec and must be mentioned (dispatched or explicitly ignored) by each of
-//! the three `Transport` impls.
+//! codec and must be mentioned (dispatched or explicitly ignored) by the one
+//! peer loop every link family runs (`crates/net/src/runtime.rs`).
 //!
 //! The rule is workspace-level: it runs whenever the wire declaration file
 //! is part of the analyzed set, and checks only the codec/transport files
 //! that are also in the set (so single-file fixture runs don't produce
 //! phantom findings about absent files). Catch-all `_` arms deliberately do
 //! NOT count — the whole point is that adding wire tag 9 must force a
-//! decision in every runtime, which is also why the real transports spell
-//! out ignored variants instead of using `_`.
+//! decision in the runtime, which is also why the real peer loop spells out
+//! ignored variants instead of using `_`.
 //!
 //! When the declaration also defines `struct TraceContext`, the codec and
-//! every transport must mention `TraceContext` outside test code: the trace
+//! the runtime must mention `TraceContext` outside test code: the trace
 //! field is optional on the wire, so a runtime that silently drops it still
-//! compiles — only this rule notices that a transport stopped propagating
-//! (or deliberately documenting) trace contexts.
+//! compiles — only this rule notices that it stopped propagating (or
+//! deliberately documenting) trace contexts.
 
 use crate::callgraph::CallGraph;
 use crate::{contains_word, line_of, Finding, PerFile, Rule};
@@ -24,13 +24,10 @@ use crate::{contains_word, line_of, Finding, PerFile, Rule};
 const WIRE_DECL: &str = "crates/core/src/wire.rs";
 /// The codec whose `encode_body`/`decode_body` must stay arm-complete.
 const CODEC: &str = "crates/net/src/codec.rs";
-/// The Transport impls that must dispatch (or explicitly ignore) every
-/// variant.
-const TRANSPORTS: &[&str] = &[
-    "crates/net/src/runtime.rs",
-    "crates/net/src/socket.rs",
-    "crates/net/src/throttled.rs",
-];
+/// The file holding the one peer loop and the one `Transport` impl, which
+/// must dispatch (or explicitly ignore) every variant. Link families
+/// (`socket.rs`, `throttled.rs`) only move frames and never match on them.
+const RUNTIME: &str = "crates/net/src/runtime.rs";
 
 /// Parses the variant names of `enum WireMsg` out of stripped source.
 pub(crate) fn wire_variants(code: &str) -> Vec<String> {
@@ -78,9 +75,10 @@ pub(crate) fn wire_variants(code: &str) -> Vec<String> {
     variants
 }
 
-/// 1-based line of the `impl Transport for` header in `code`, else line 1.
+/// 1-based line of the `impl … Transport for` header in `code` (the real
+/// impl is generic over its link family), else line 1.
 fn impl_line(code: &str) -> usize {
-    code.find("impl Transport for")
+    code.find("Transport for")
         .map(|at| line_of(code, at))
         .unwrap_or(1)
 }
@@ -148,17 +146,14 @@ pub(crate) fn check(graph: &CallGraph, files: &[PerFile]) -> Vec<Finding> {
         }
     }
 
-    // Transports: each variant must be mentioned somewhere non-test.
-    for rel in TRANSPORTS {
-        let Some(pf) = files.iter().find(|pf| pf.rel == *rel) else {
-            continue;
-        };
+    // Runtime: each variant must be mentioned somewhere non-test.
+    if let Some(pf) = files.iter().find(|pf| pf.rel == RUNTIME) {
         let line = impl_line(&pf.stripped.code);
         for v in &variants {
             let needle = format!("WireMsg::{v}");
             if !mentions(pf, &needle) {
                 findings.push(Finding {
-                    file: rel.to_string(),
+                    file: RUNTIME.to_string(),
                     line,
                     rule: Rule::WireExhaustive,
                     msg: format!(
@@ -172,11 +167,9 @@ pub(crate) fn check(graph: &CallGraph, files: &[PerFile]) -> Vec<Finding> {
     }
 
     // Trace contexts: once the wire vocabulary carries them, the codec and
-    // every transport must handle (or at least deliberately document) them.
+    // the runtime must handle (or at least deliberately document) them.
     if contains_word(&wire.stripped.code, "struct TraceContext").is_some() {
-        let mut trace_files: Vec<&str> = vec![CODEC];
-        trace_files.extend_from_slice(TRANSPORTS);
-        for rel in trace_files {
+        for rel in [CODEC, RUNTIME] {
             let Some(pf) = files.iter().find(|pf| pf.rel == rel) else {
                 continue;
             };
