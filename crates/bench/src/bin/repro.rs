@@ -33,10 +33,12 @@
 //!                 be bit-identical at converge threads 1 and 8, TCP runs
 //!                 must yield a complete causal span chain per delivered
 //!                 publish, and live tracing overhead must stay ≤5%
-//!   scale         full-size convergence → BENCH_scale.json. By default runs
-//!                 the 63k Facebook preset; `--full` sweeps all four Table II
-//!                 presets (3.99M-peer Twitter included — release mode, see
-//!                 EXPERIMENTS.md); `--quick` smoke-runs 1% replicas without
+//!   scale [key]   full-size convergence → BENCH_scale.json. By default runs
+//!                 the 63k Facebook preset; `scale <key>` runs one named
+//!                 preset (facebook, slashdot, gplus, twitter); `--full`
+//!                 sweeps all four Table II presets (3.99M-peer Twitter
+//!                 included — release mode, see EXPERIMENTS.md); `--quick`
+//!                 smoke-runs 1% replicas without
 //!                 touching the JSON. Fresh runs merge into the existing
 //!                 file, so partial invocations keep the other presets'
 //!                 recorded numbers. With --check: re-runs Facebook and
@@ -59,6 +61,7 @@ fn main() {
     let mut cmd: Option<String> = None;
     let mut csv_dir: Option<std::path::PathBuf> = None;
     let mut check_only = false;
+    let mut scale_preset: Option<&scale::ScalePreset> = None;
 
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
@@ -89,6 +92,12 @@ fn main() {
                     .or_else(|| panic!("--seed needs a number"));
             }
             other if cmd.is_none() => cmd = Some(other.to_string()),
+            key if cmd.as_deref() == Some("scale") && scale_preset.is_none() => {
+                scale_preset = Some(scale::preset(key).unwrap_or_else(|| {
+                    eprintln!("unknown scale preset: {key}");
+                    std::process::exit(2);
+                }));
+            }
             other => {
                 eprintln!("unexpected argument: {other}");
                 std::process::exit(2);
@@ -251,10 +260,10 @@ fn main() {
                         .collect();
                     Some(scale::render_table(&runs))
                 } else {
-                    let to_run: Vec<&scale::ScalePreset> = if check_only || preset != "full" {
-                        vec![scale::preset("facebook").unwrap()]
-                    } else {
-                        scale::PRESETS.iter().collect()
+                    let to_run: Vec<&scale::ScalePreset> = match scale_preset {
+                        Some(one) if !check_only => vec![one],
+                        None if !check_only && preset == "full" => scale::PRESETS.iter().collect(),
+                        _ => vec![scale::preset("facebook").unwrap()],
                     };
                     let fresh: Vec<scale::ScaleRun> = to_run
                         .iter()

@@ -535,7 +535,25 @@ fn traced_inproc_render(n: usize, trees: &[RoutingTree], payload: &Bytes) -> (St
     (asm.render_all(), complete, asm.len())
 }
 
-/// `repro wiretrace`: the tracing conformance suite.
+/// `repro wiretrace`: the tracing conformance suite — the deterministic
+/// checks of [`wiretrace_conformance`], then the live
+/// [`MAX_TRACING_OVERHEAD_PCT`] gate of [`wiretrace_overhead`] on both
+/// transports. The gate is a wall-clock ratio, meaningful only in a release
+/// build on a quiet box; unit tests assert the conformance half alone.
+pub fn wiretrace(n: usize, publishes: usize, seed: u64) -> Result<String, String> {
+    let payload = Bytes::from(vec![0x5Eu8; PAYLOAD_BYTES]);
+    let (trees, spans) = wiretrace_conformance(n, publishes, seed, &payload)?;
+    let (inproc_pct, tcp_pct) = wiretrace_overhead(n, &trees, &payload)?;
+    Ok(format!(
+        "wiretrace: {publishes} publications, {spans} spans — inproc trees \
+         bit-identical at converge threads 1 and 8; tcp chains complete and \
+         identical to inproc; tracing overhead inproc {inproc_pct:+.2}% / tcp \
+         {tcp_pct:+.2}% (gate {MAX_TRACING_OVERHEAD_PCT}%)\n",
+    ))
+}
+
+/// The deterministic half of [`wiretrace`]; returns the trees it replayed
+/// and the inproc span count.
 ///
 /// 1. Converges the overlay at 1 and at 8 round-loop worker threads; the
 ///    resulting trees replay over traced inproc networks and the canonical
@@ -544,15 +562,17 @@ fn traced_inproc_render(n: usize, trees: &[RoutingTree], payload: &Bytes) -> (St
 /// 2. Replays the same trees over traced loopback TCP; every delivered
 ///    publication must assemble a complete root→leaf span chain, and the
 ///    fault-free canonical trees must match inproc exactly.
-/// 3. Measures live tracing overhead on both transports and enforces the
-///    [`MAX_TRACING_OVERHEAD_PCT`] gate.
-pub fn wiretrace(n: usize, publishes: usize, seed: u64) -> Result<String, String> {
-    let payload = Bytes::from(vec![0x5Eu8; PAYLOAD_BYTES]);
+fn wiretrace_conformance(
+    n: usize,
+    publishes: usize,
+    seed: u64,
+    payload: &Bytes,
+) -> Result<(Vec<RoutingTree>, usize), String> {
     let trees_t1 = build_trees(n, publishes, seed, 1);
     let trees_t8 = build_trees(n, publishes, seed, 8);
 
-    let (render_t1, complete_t1, spans_t1) = traced_inproc_render(n, &trees_t1, &payload);
-    let (render_t8, complete_t8, _) = traced_inproc_render(n, &trees_t8, &payload);
+    let (render_t1, complete_t1, spans_t1) = traced_inproc_render(n, &trees_t1, payload);
+    let (render_t8, complete_t8, _) = traced_inproc_render(n, &trees_t8, payload);
     if render_t1 != render_t8 {
         return Err("inproc canonical trace trees differ between converge \
                     threads 1 and 8"
@@ -571,7 +591,7 @@ pub fn wiretrace(n: usize, publishes: usize, seed: u64) -> Result<String, String
     run_set(
         &mut tcp,
         &trees_t1,
-        &payload,
+        payload,
         &mut next_id,
         Some(&mut traced),
     );
@@ -584,31 +604,38 @@ pub fn wiretrace(n: usize, publishes: usize, seed: u64) -> Result<String, String
             return Err(format!("tcp span chain incomplete: {gaps:?}"));
         }
     }
-    let render_tcp = asm.render_all();
-    if render_tcp != render_t1 {
+    if asm.render_all() != render_t1 {
         return Err("tcp canonical trace trees diverge from inproc under the \
                     fault-free plan"
             .into());
     }
+    Ok((trees_t1, spans_t1))
+}
 
-    // Live overhead gate on both transports. Even with paired per-tree
-    // minima, a single measurement on a busy single-core box can catch a
-    // scheduling squall that lands entirely on the traced sets; a transient
-    // like that says nothing about the tracing code, so each transport gets
-    // up to OVERHEAD_ATTEMPTS fresh measurements and gates on the best one.
-    // A real regression fails every attempt.
+/// The wall-clock half of [`wiretrace`]: measures live tracing overhead on
+/// both transports, enforces the [`MAX_TRACING_OVERHEAD_PCT`] gate and
+/// returns the `(inproc, tcp)` overhead percentages.
+///
+/// Even with paired per-tree minima, a single measurement on a busy
+/// single-core box can catch a scheduling squall that lands entirely on the
+/// traced sets; a transient like that says nothing about the tracing code,
+/// so each transport gets up to `OVERHEAD_ATTEMPTS` fresh measurements and
+/// gates on the best one. A real regression fails every attempt.
+fn wiretrace_overhead(
+    n: usize,
+    trees: &[RoutingTree],
+    payload: &Bytes,
+) -> Result<(f64, f64), String> {
     const OVERHEAD_ATTEMPTS: usize = 3;
-    let mut inproc = None;
-    let mut tcp_run = None;
-    for (name, slot, tcp_side) in [("inproc", &mut inproc, false), ("tcp", &mut tcp_run, true)] {
+    let gate = |name: &str, tcp_side: bool| -> Result<f64, String> {
         let mut best: Option<TransportRun> = None;
         for _ in 0..OVERHEAD_ATTEMPTS {
             let run = if tcp_side {
                 let mut net = SocketNetwork::spawn(n).map_err(|e| format!("spawn sockets: {e}"))?;
-                bench_transport(&mut net, &trees_t1, &payload)
+                bench_transport(&mut net, trees, payload)
             } else {
                 let mut net = ThreadedNetwork::spawn(n);
-                bench_transport(&mut net, &trees_t1, &payload)
+                bench_transport(&mut net, trees, payload)
             };
             if !run.trace_complete {
                 return Err(format!("{name} overhead run left incomplete span chains"));
@@ -629,20 +656,9 @@ pub fn wiretrace(n: usize, publishes: usize, seed: u64) -> Result<String, String
                 best.tracing_overhead_pct
             ));
         }
-        *slot = Some(best);
-    }
-    let (inproc, tcp_run) = (
-        inproc.expect("inproc gate ran"),
-        tcp_run.expect("tcp gate ran"),
-    );
-
-    Ok(format!(
-        "wiretrace: {} publications, {} spans — inproc trees bit-identical \
-         at converge threads 1 and 8; tcp chains complete and identical to \
-         inproc; tracing overhead inproc {:+.2}% / tcp {:+.2}% (gate \
-         {MAX_TRACING_OVERHEAD_PCT}%)\n",
-        publishes, spans_t1, inproc.tracing_overhead_pct, tcp_run.tracing_overhead_pct,
-    ))
+        Ok(best.tracing_overhead_pct)
+    };
+    Ok((gate("inproc", false)?, gate("tcp", true)?))
 }
 
 #[cfg(test)]
@@ -754,9 +770,15 @@ mod tests {
         check_json(&json).expect("measured output must satisfy the gate");
     }
 
+    /// Only the deterministic half: the 5% overhead gate is a wall-clock
+    /// ratio that a debug build on a shared box cannot hold reliably;
+    /// release `repro wiretrace` (run by ci.sh) enforces it.
     #[test]
     fn wiretrace_conformance_holds_at_test_scale() {
-        let report = wiretrace(30, 4, 11).expect("wiretrace gates");
-        assert!(report.contains("bit-identical"), "{report}");
+        let payload = Bytes::from(vec![0x5Eu8; PAYLOAD_BYTES]);
+        let (trees, spans) =
+            wiretrace_conformance(30, 4, 11, &payload).expect("bit-identical trees, full chains");
+        assert_eq!(trees.len(), 4);
+        assert!(spans > 0);
     }
 }

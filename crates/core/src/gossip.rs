@@ -21,7 +21,11 @@
 //!    list (Algorithm 5: LSH buckets + coverage tail, or the random
 //!    ablation) from the post-move snapshot, again in parallel;
 //!    reconciliation — incoming-link admission, evictions, drops — applies
-//!    sequentially in vertex order. LSH buckets and preference lists are
+//!    sequentially in vertex order. A proposal is linear in the adjacency
+//!    of the peer's neighbourhood: one pass over the friends' CSR rows
+//!    fills a per-shard bit matrix of the triangles through the peer
+//!    ([`LinkScratch`]), from which both the friendship bitmaps and the
+//!    set-cover gains are read. LSH buckets and preference lists are
 //!    **delta-maintained**, not rebuilt each round: a peer whose dependency
 //!    fingerprint (online friends × their table versions) is unchanged
 //!    reuses its cached proposal ([`crate::network::LinkCache`]); churn
@@ -32,11 +36,13 @@
 //! Because the compute halves only read the snapshot and all mutation
 //! happens in vertex order on one thread, the round is **bit-identical for
 //! every thread count** by construction. Each round reports a
-//! [`RoundTelemetry`]; [`SelectNetwork::converge`] aggregates them and runs
-//! rounds until a stability window passes with no changes — the iteration
-//! count of the paper's Fig. 5.
+//! [`RoundTelemetry`], including where its time went (wall time per
+//! superstep half, CPU time per compute phase summed over shards);
+//! [`SelectNetwork::converge`] aggregates them and runs rounds until a
+//! stability window passes with no changes — the iteration count of the
+//! paper's Fig. 5.
 
-use crate::links::{create_links, LinkSelection};
+use crate::links::{create_links_from_bitmaps, LinkSelection};
 use crate::network::{ConvergenceReport, SelectNetwork};
 use crate::reassign::{evaluate_position_centroid_live, evaluate_position_live};
 use crate::stats::{ConvergenceTelemetry, RoundTelemetry};
@@ -49,45 +55,150 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
+/// `LinkScratch::slot` value of a peer outside the loaded neighbourhood.
+const ABSENT: u32 = u32::MAX;
+
 /// Reusable per-shard scratch for the link superstep's compute half: the
-/// online-neighbourhood buffer plus an epoch-stamped coverage set for the
-/// greedy set-cover tail of Algorithm 5. Replaces a per-worker thread-local
-/// buffer and a per-call `HashSet` — each superstep shard owns one of these
-/// inside a [`LinkShard`], so a full round performs no per-peer allocation
-/// once the arenas are warm.
+/// online neighbourhood `C_p` of the peer being computed and the *triangle
+/// matrix* over it — row `j` is the `|C_p|`-bit set of `p`'s online friends
+/// that are social neighbours of friend `j`. One pass over the friends' CSR
+/// rows fills it; the friendship bitmaps and the greedy set-cover tail of
+/// Algorithm 5 then read only these rows, so a proposal costs
+/// `Σ_{u ∈ C_p} deg(u)` word operations and no per-friend allocation. Each
+/// superstep shard owns one inside a [`LinkShard`]; the buffers are reused
+/// from peer to peer and round to round.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct LinkScratch {
-    /// Sorted online neighbourhood of the peer currently being computed.
+    /// Sorted online neighbourhood of the peer currently loaded.
     neigh: Vec<u32>,
-    /// Coverage epoch; a `cover_stamp` equal to it marks a covered peer.
-    cover_epoch: u32,
-    /// Per-peer coverage stamps (the old per-call `covered: HashSet<u32>`,
-    /// membership-only, so results are bit-identical).
-    cover_stamp: Vec<u32>,
+    /// Position of every peer within `neigh` ([`ABSENT`] outside it) — the
+    /// shard's one membership test. Network-sized; written by `load` and
+    /// cleared by `unload` in `O(|C_p|)`.
+    slot: Vec<u32>,
+    /// Words per row: `|C_p|.div_ceil(64)`.
+    words: usize,
+    /// The triangle matrix, `|C_p|` rows of `words` words, row-major.
+    rows: Vec<u64>,
+    /// Set-cover state: friends of `p` reached by the targets so far.
+    covered: Vec<u64>,
+    /// Set-cover state: friends of `p` already on the target list.
+    picked: Vec<u64>,
+    /// CPU time this shard spent per compute phase since `begin_epoch`.
+    phase: PhaseNanos,
+}
+
+/// Per-shard CPU time of the link compute half, by phase (telemetry only).
+#[derive(Clone, Copy, Debug, Default)]
+struct PhaseNanos {
+    rows: u64,
+    lsh: u64,
+    cover: u64,
+}
+
+/// Nanoseconds since `*mark`, which moves to now: consecutive laps split a
+/// span into contiguous phases.
+fn lap(mark: &mut Instant) -> u64 {
+    // selint: allow(ambient-nondet, phase timers are wall-clock telemetry only; never feed protocol state)
+    let now = Instant::now();
+    let nanos = (now - *mark).as_nanos() as u64;
+    *mark = now;
+    nanos
+}
+
+#[inline]
+fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] >> (i % 64) & 1 == 1
+}
+
+#[inline]
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
 }
 
 impl LinkScratch {
-    /// Starts a fresh coverage set over `n` peers: O(1) epoch bump, with a
-    /// full reset every `u32::MAX` uses to keep stale stamps unreachable.
-    fn begin_cover(&mut self, n: usize) {
-        if self.cover_epoch == u32::MAX {
-            self.cover_stamp.iter_mut().for_each(|s| *s = 0);
-            self.cover_epoch = 0;
+    /// Loads `p`'s online neighbourhood and the triangles through `p`. The
+    /// social relation is symmetric, so each friend's CSR row is walked from
+    /// its own id upward and both bits of an edge are set at once.
+    fn load(&mut self, net: &SelectNetwork, p: u32) {
+        net.online_friends_into(p, &mut self.neigh);
+        let LinkScratch {
+            neigh,
+            slot,
+            words,
+            rows,
+            ..
+        } = self;
+        if slot.len() < net.len() {
+            slot.resize(net.len(), ABSENT);
         }
-        self.cover_epoch += 1;
-        if self.cover_stamp.len() < n {
-            self.cover_stamp.resize(n, 0);
+        for (j, &u) in neigh.iter().enumerate() {
+            slot[u as usize] = j as u32;
+        }
+        *words = neigh.len().div_ceil(64);
+        rows.clear();
+        rows.resize(neigh.len() * *words, 0);
+        for (j, &u) in neigh.iter().enumerate() {
+            let friends_of_u = net.graph.neighbors(osn_graph::UserId(u));
+            let above = friends_of_u.partition_point(|x| x.0 <= u);
+            for x in &friends_of_u[above..] {
+                let i = slot[x.index()];
+                if i != ABSENT {
+                    let i = i as usize;
+                    set_bit(&mut rows[j * *words..], i);
+                    set_bit(&mut rows[i * *words..], j);
+                }
+            }
         }
     }
 
-    #[inline]
-    fn cover(&mut self, v: u32) {
-        self.cover_stamp[v as usize] = self.cover_epoch;
+    /// Clears the membership table behind [`Self::load`].
+    fn unload(&mut self) {
+        for &u in &self.neigh {
+            self.slot[u as usize] = ABSENT;
+        }
     }
 
+    /// Friend `j`'s triangle row.
     #[inline]
-    fn is_covered(&self, v: u32) -> bool {
-        self.cover_stamp[v as usize] == self.cover_epoch
+    fn row(&self, j: usize) -> &[u64] {
+        &self.rows[j * self.words..][..self.words]
+    }
+
+    /// Index of online friend `f` within the loaded neighbourhood.
+    #[inline]
+    fn index_of(&self, f: u32) -> usize {
+        let j = self.slot[f as usize];
+        debug_assert_ne!(j, ABSENT, "peer {f} is outside the loaded neighbourhood");
+        j as usize
+    }
+
+    /// Puts friend `j` on the target list: it and everything in its row now
+    /// count as covered.
+    fn pick(&mut self, j: usize) {
+        let LinkScratch {
+            rows,
+            words,
+            covered,
+            picked,
+            ..
+        } = self;
+        for (c, r) in covered.iter_mut().zip(&rows[j * *words..][..*words]) {
+            *c |= r;
+        }
+        set_bit(covered, j);
+        set_bit(picked, j);
+    }
+
+    /// How many uncovered friends of `p` friend `j` would newly reach
+    /// (itself included).
+    fn gain(&self, j: usize) -> u32 {
+        let new_in_row: u32 = self
+            .row(j)
+            .iter()
+            .zip(&self.covered)
+            .map(|(r, c)| (r & !c).count_ones())
+            .sum();
+        new_in_row + !bit(&self.covered, j) as u32
     }
 }
 
@@ -103,9 +214,10 @@ pub(crate) struct LinkShard {
 
 impl ShardScratch for LinkShard {
     fn begin_epoch(&mut self, _epoch: u64) {
-        // The histogram must restart empty each round; the scratch is
-        // self-invalidating (epoch-stamped coverage, cleared neigh buffer).
+        // The histogram and the phase timers restart each round; the
+        // buffers are reloaded per peer.
         self.hist.reset();
+        self.scratch.phase = PhaseNanos::default();
     }
 }
 
@@ -166,6 +278,7 @@ impl SelectNetwork {
     pub fn gossip_round_telemetry(&mut self) -> RoundTelemetry {
         // selint: allow(ambient-nondet, wall-clock telemetry only; never feeds protocol state)
         let started = Instant::now();
+        let mut mark = started;
         let threads = self.cfg.resolved_threads();
         let n = self.len();
         let eps_ticks = (self.cfg.convergence_eps * u64::MAX as f64) as u64;
@@ -198,6 +311,7 @@ impl SelectNetwork {
                 }
             });
         }
+        tel.id_nanos = lap(&mut mark);
 
         // Superstep 2 — link reassignment (Algorithm 5). Preference lists
         // are pure functions of the post-move snapshot; admission control
@@ -230,8 +344,12 @@ impl SelectNetwork {
             });
             for shard in arenas.active() {
                 tel.link_candidates.merge(&shard.hist);
+                tel.rows_nanos += shard.scratch.phase.rows;
+                tel.lsh_nanos += shard.scratch.phase.lsh;
+                tel.cover_nanos += shard.scratch.phase.cover;
             }
             self.link_arenas = arenas;
+            tel.link_compute_nanos = lap(&mut mark);
             engine.step(false, |p, mail, _| {
                 for m in mail {
                     match m {
@@ -261,10 +379,12 @@ impl SelectNetwork {
                     }
                 }
             });
+            tel.link_apply_nanos = lap(&mut mark);
         }
 
         // Ring short links follow the new positions.
         self.refresh_short_links();
+        tel.ring_nanos = lap(&mut mark);
         #[cfg(feature = "audit")]
         self.assert_overlay_invariants("gossip round");
         tel.messages = engine.messages_sent_total();
@@ -344,11 +464,13 @@ impl SelectNetwork {
     /// shard's reusable buffer set.
     #[hotpath]
     fn propose_links_in(&self, p: u32, round_salt: u64, scratch: &mut LinkScratch) -> LinkProposal {
-        let mut neigh = std::mem::take(&mut scratch.neigh);
-        self.online_friends_into(p, &mut neigh);
-        let mut prop = self.propose_links_with(p, round_salt, &neigh, scratch);
+        let mut prop = if self.cfg.use_lsh_picker {
+            self.propose_lsh_links(p, scratch)
+        } else {
+            self.online_friends_into(p, &mut scratch.neigh);
+            self.propose_random_links(p, round_salt, &scratch.neigh)
+        };
         prop.deps_sum = self.link_deps_sum(p);
-        scratch.neigh = neigh;
         prop
     }
 
@@ -416,154 +538,139 @@ impl SelectNetwork {
         cache.targets = prop.targets;
     }
 
-    /// [`Self::propose_links_in`] over a precomputed (sorted ascending)
-    /// online neighbourhood; `cover` supplies the epoch-stamped coverage set
-    /// of the greedy tail.
+    /// Algorithm 5 for peer `p`: one representative per LSH bucket of the
+    /// friendship bitmaps, then the coverage/strength tail. `deps_sum` is
+    /// stamped by the caller.
     #[hotpath]
-    fn propose_links_with(
-        &self,
-        p: u32,
-        round_salt: u64,
-        neighbourhood: &[u32],
-        cover: &mut LinkScratch,
-    ) -> LinkProposal {
-        if self.cfg.use_lsh_picker {
-            // A friend's advertised connection set is its current links plus
-            // its social adjacency. Long links converge onto social edges
-            // anyway (they are only ever established between friends), and
-            // anchoring the bitmap in the social graph keeps the
-            // bitmap → bucket → link feedback loop from flapping forever —
-            // with purely dynamic `R_u` the pick in a bucket changes every
-            // round and the overlay never quiesces.
-            let LinkSelection {
-                mut targets,
-                buckets,
-            } = create_links(
-                neighbourhood,
-                self.k,
-                self.cfg.lsh_samples,
-                self.cfg.seed ^ (p as u64).rotate_left(32),
-                |u| {
-                    let mut links = self.tables[u as usize].all_links(u);
-                    links.extend(
-                        self.graph
-                            .neighbors(osn_graph::UserId(u))
-                            .iter()
-                            .map(|f| f.0),
-                    );
-                    links
-                },
-                |u| self.bandwidth[u as usize],
-            );
-            #[cfg(feature = "audit")]
-            assert_one_representative_per_bucket(p, &targets, &buckets);
-            let bucket_hits = targets.len().min(self.k) as u64;
-            let bucket_fallbacks = self.k.saturating_sub(targets.len()) as u64;
-            // Friends converge to similar connections, so buckets collapse
-            // and the picker returns fewer than K targets. The rest of the
-            // preference list continues the same avoid-link-overlap goal:
-            // greedy set cover over the *social* reach of each friend within
-            // the neighbourhood (static data — an evolving-table objective
-            // would flap forever), then any leftover friends in strength
-            // order. `reconcile_links` consumes the list until K links are
-            // actually accepted, so admission rejections don't waste budget.
-            {
-                // The neighbourhood is sorted ascending, so membership is a
-                // binary search instead of a per-call hash set.
-                let reach = |f: u32| {
-                    self.graph
-                        .neighbors(osn_graph::UserId(f))
-                        .iter()
-                        .map(|x| x.0)
-                        .filter(|q| neighbourhood.binary_search(q).is_ok())
-                        .chain(std::iter::once(f))
-                };
-                // Coverage lives in the shard's epoch-stamped scratch: an
-                // O(1) bump starts this peer's set, no per-call allocation.
-                cover.begin_cover(self.len());
-                for &t in &targets {
-                    for q in reach(t) {
-                        cover.cover(q);
+    fn propose_lsh_links(&self, p: u32, scratch: &mut LinkScratch) -> LinkProposal {
+        // selint: allow(ambient-nondet, phase timers are wall-clock telemetry only; never feed protocol state)
+        let mut mark = Instant::now();
+        scratch.load(self, p);
+        scratch.phase.rows += lap(&mut mark);
+        // A friend's advertised connection set is its current links plus its
+        // social adjacency. Long links converge onto social edges anyway
+        // (they are only ever established between friends), and anchoring
+        // the bitmap in the social graph keeps the bitmap → bucket → link
+        // feedback loop from flapping forever — with purely dynamic `R_u`
+        // the pick in a bucket changes every round and the overlay never
+        // quiesces. The social part is friend `u`'s triangle row; its links
+        // add the bits of whichever of them are friends of `p`.
+        let LinkSelection {
+            mut targets,
+            buckets,
+        } = create_links_from_bitmaps(
+            &scratch.neigh,
+            self.k,
+            self.cfg.lsh_samples,
+            self.cfg.seed ^ (p as u64).rotate_left(32),
+            |j, bm| {
+                bm.copy_from_words(scratch.row(j));
+                let u = scratch.neigh[j];
+                for link in self.tables[u as usize].outgoing() {
+                    let i = scratch.slot[link as usize];
+                    if i != ABSENT && link != u {
+                        bm.set(i as usize, true);
                     }
                 }
-                // The delta-maintained live ranking is exactly the ranked
-                // list filtered to online friends, so no per-friend
-                // liveness probe is needed here.
-                let ranked = self.strengths.live_ranked(p);
-                loop {
-                    let mut best: Option<(usize, u32)> = None;
-                    for &f in ranked {
-                        if targets.contains(&f) {
-                            continue;
-                        }
-                        let gain = reach(f).filter(|&q| !cover.is_covered(q)).count();
-                        if gain > 0 && best.is_none_or(|(g, _)| gain > g) {
-                            best = Some((gain, f));
-                        }
-                    }
-                    match best {
-                        Some((_, f)) => {
-                            for q in reach(f) {
-                                cover.cover(q);
-                            }
-                            targets.push(f);
-                        }
-                        None => break,
-                    }
+            },
+            |u| self.bandwidth[u as usize],
+        );
+        #[cfg(feature = "audit")]
+        assert_one_representative_per_bucket(p, &targets, &buckets);
+        let bucket_hits = targets.len().min(self.k) as u64;
+        let bucket_fallbacks = self.k.saturating_sub(targets.len()) as u64;
+        scratch.phase.lsh += lap(&mut mark);
+        // Friends converge to similar connections, so buckets collapse and
+        // the picker returns fewer than K targets. The rest of the
+        // preference list continues the same avoid-link-overlap goal: greedy
+        // set cover over the *social* reach of each friend within the
+        // neighbourhood (static data — an evolving-table objective would
+        // flap forever), then any leftover friends in strength order.
+        // `reconcile_links` consumes the list until K links are actually
+        // accepted, so admission rejections don't waste budget. A friend's
+        // reach is its triangle row plus itself, so a gain is one popcount
+        // sweep; the scan follows the delta-maintained live ranking (exactly
+        // `p`'s online friends) with a strict `>`, so ties go to the
+        // stronger friend.
+        scratch.covered.clear();
+        scratch.covered.resize(scratch.words, 0);
+        scratch.picked.clear();
+        scratch.picked.resize(scratch.words, 0);
+        for &t in &targets {
+            scratch.pick(scratch.index_of(t));
+        }
+        let ranked = self.strengths.live_ranked(p);
+        loop {
+            let mut best: Option<(u32, usize)> = None;
+            for &f in ranked {
+                let j = scratch.index_of(f);
+                if bit(&scratch.picked, j) {
+                    continue;
                 }
-                // Tail: remaining online friends in strength order.
-                for &f in ranked {
-                    if !targets.contains(&f) {
-                        targets.push(f);
-                    }
+                let gain = scratch.gain(j);
+                if gain > 0 && best.is_none_or(|(g, _)| gain > g) {
+                    best = Some((gain, j));
                 }
             }
-            LinkProposal {
-                targets,
-                buckets: Some(buckets),
-                bucket_hits,
-                bucket_fallbacks,
-                deps_sum: 0, // stamped by the caller (propose_links)
+            let Some((_, j)) = best else { break };
+            scratch.pick(j);
+            targets.push(scratch.neigh[j]);
+        }
+        // Tail: remaining online friends in strength order.
+        for &f in ranked {
+            if !bit(&scratch.picked, scratch.index_of(f)) {
+                targets.push(f);
             }
-        } else {
-            // Ablation: uniform-random friends, socially blind within C_p.
-            // Sticky: existing online links are kept and only the remaining
-            // budget is drawn randomly, otherwise the overlay would rewire
-            // forever and never converge. The draw comes from a per-peer,
-            // per-round stream so it is independent of execution order.
-            let mut rng = StdRng::seed_from_u64(
-                self.cfg.seed
-                    ^ round_salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    ^ (p as u64).rotate_left(32),
-            );
-            let mut targets: Vec<u32> = self.tables[p as usize]
-                .long_links()
-                .iter()
-                .copied()
-                .filter(|&u| self.online[u as usize])
-                // selint: allow(hotpath-alloc, random-picker ablation branch; the LSH production path reuses the shard scratch)
-                .collect();
-            let mut pool: Vec<u32> = neighbourhood
-                .iter()
-                .copied()
-                .filter(|u| !targets.contains(u))
-                // selint: allow(hotpath-alloc, random-picker ablation branch; the LSH production path reuses the shard scratch)
-                .collect();
-            pool.shuffle(&mut rng);
-            for u in pool {
-                if targets.len() >= self.k {
-                    break;
-                }
-                targets.push(u);
+        }
+        scratch.unload();
+        scratch.phase.cover += lap(&mut mark);
+        LinkProposal {
+            targets,
+            buckets: Some(buckets),
+            bucket_hits,
+            bucket_fallbacks,
+            deps_sum: 0,
+        }
+    }
+
+    /// Ablation: uniform-random friends, socially blind within `C_p`
+    /// (`neighbourhood`, `p`'s online friends). Sticky: existing online
+    /// links are kept and only the remaining budget is drawn randomly,
+    /// otherwise the overlay would rewire forever and never converge. The
+    /// draw comes from a per-peer, per-round stream so it is independent of
+    /// execution order. Never cached, so `deps_sum` stays 0.
+    fn propose_random_links(&self, p: u32, round_salt: u64, neighbourhood: &[u32]) -> LinkProposal {
+        let mut rng = StdRng::seed_from_u64(
+            self.cfg.seed
+                ^ round_salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ (p as u64).rotate_left(32),
+        );
+        let mut targets: Vec<u32> = self.tables[p as usize]
+            .long_links()
+            .iter()
+            .copied()
+            .filter(|&u| self.online[u as usize])
+            // selint: allow(hotpath-alloc, random-picker ablation branch; the LSH production path reuses the shard scratch)
+            .collect();
+        let mut pool: Vec<u32> = neighbourhood
+            .iter()
+            .copied()
+            .filter(|u| !targets.contains(u))
+            // selint: allow(hotpath-alloc, random-picker ablation branch; the LSH production path reuses the shard scratch)
+            .collect();
+        pool.shuffle(&mut rng);
+        for u in pool {
+            if targets.len() >= self.k {
+                break;
             }
-            let bucket_fallbacks = self.k as u64;
-            LinkProposal {
-                targets,
-                buckets: None,
-                bucket_hits: 0,
-                bucket_fallbacks,
-                deps_sum: 0, // random ablation is never cached
-            }
+            targets.push(u);
+        }
+        LinkProposal {
+            targets,
+            buckets: None,
+            bucket_hits: 0,
+            bucket_fallbacks: self.k as u64,
+            deps_sum: 0,
         }
     }
 
@@ -894,6 +1001,22 @@ mod tests {
         assert_eq!(tel.messages, tel.id_moves as u64 + n.online_count() as u64);
         assert!((0.0..=1.0).contains(&tel.bucket_hit_rate()));
         assert_eq!(tel.changes().id_moves, tel.id_moves);
+        // The phase timers ran, and are no part of equality.
+        assert!(tel.link_compute_nanos > 0 && tel.rows_nanos > 0);
+        assert!(tel.id_nanos + tel.link_compute_nanos <= tel.wall_nanos);
+        let mut untimed = tel.clone();
+        for nanos in [
+            &mut untimed.id_nanos,
+            &mut untimed.link_compute_nanos,
+            &mut untimed.link_apply_nanos,
+            &mut untimed.ring_nanos,
+            &mut untimed.rows_nanos,
+            &mut untimed.lsh_nanos,
+            &mut untimed.cover_nanos,
+        ] {
+            *nanos = 0;
+        }
+        assert_eq!(untimed, tel);
         // Counter keeps running across rounds.
         assert_eq!(n.gossip_round_telemetry().round, 2);
     }
@@ -1026,6 +1149,175 @@ mod tests {
                     .filter(|&&x| x != crate::network::NO_BUCKET)
                     .count();
                 assert_eq!(stored, total, "peer {p} holds stale bucket slots");
+            }
+        }
+
+        /// Algorithm 5's LSH arm by the definitions the triangle rows
+        /// replaced: each friend's bitmap is one `contains` scan of
+        /// `all_links(u) + N(u)` per bit position, and every greedy
+        /// iteration rescans each unpicked friend's whole CSR row against a
+        /// coverage set.
+        fn propose_lsh_links_by_scan(n: &SelectNetwork, p: u32) -> LinkProposal {
+            use std::collections::HashSet;
+            let neighbourhood = n.online_friends(p);
+            let LinkSelection {
+                mut targets,
+                buckets,
+            } = create_links_from_bitmaps(
+                &neighbourhood,
+                n.k,
+                n.cfg.lsh_samples,
+                n.cfg.seed ^ (p as u64).rotate_left(32),
+                |j, bm| {
+                    let u = neighbourhood[j];
+                    let mut links = n.tables[u as usize].all_links(u);
+                    links.extend(n.graph.neighbors(UserId(u)).iter().map(|f| f.0));
+                    *bm = osn_lsh::Bitmap::from_set_bits(
+                        neighbourhood.len(),
+                        neighbourhood
+                            .iter()
+                            .enumerate()
+                            .filter(|&(_, c)| links.contains(c))
+                            .map(|(i, _)| i),
+                    );
+                },
+                |u| n.bandwidth[u as usize],
+            );
+            let bucket_hits = targets.len().min(n.k) as u64;
+            let bucket_fallbacks = n.k.saturating_sub(targets.len()) as u64;
+            let reach = |f: u32| {
+                n.graph
+                    .neighbors(UserId(f))
+                    .iter()
+                    .map(|x| x.0)
+                    .filter(|q| neighbourhood.binary_search(q).is_ok())
+                    .chain(std::iter::once(f))
+            };
+            let mut covered: HashSet<u32> = targets.iter().flat_map(|&t| reach(t)).collect();
+            let ranked = n.strengths.live_ranked(p);
+            loop {
+                let mut best: Option<(usize, u32)> = None;
+                for &f in ranked {
+                    if targets.contains(&f) {
+                        continue;
+                    }
+                    let gain = reach(f).filter(|q| !covered.contains(q)).count();
+                    if gain > 0 && best.is_none_or(|(g, _)| gain > g) {
+                        best = Some((gain, f));
+                    }
+                }
+                let Some((_, f)) = best else { break };
+                covered.extend(reach(f));
+                targets.push(f);
+            }
+            for &f in ranked {
+                if !targets.contains(&f) {
+                    targets.push(f);
+                }
+            }
+            LinkProposal {
+                targets,
+                buckets: Some(buckets),
+                bucket_hits,
+                bucket_fallbacks,
+                deps_sum: 0,
+            }
+        }
+
+        /// Every online peer's proposal over one reused scratch (as a shard
+        /// runs it) equals the scan-based definitions.
+        fn assert_rows_match_scans(n: &SelectNetwork) {
+            let mut scratch = LinkScratch::default();
+            for p in (0..n.len() as u32).filter(|&p| n.online[p as usize]) {
+                let got = n.propose_links_in(p, n.round_counter, &mut scratch);
+                let want = propose_lsh_links_by_scan(n, p);
+                assert_eq!(got.targets, want.targets, "targets of peer {p}");
+                assert_eq!(got.buckets, want.buckets, "buckets of peer {p}");
+                assert_eq!(got.bucket_hits, want.bucket_hits, "hits of peer {p}");
+                assert_eq!(
+                    got.bucket_fallbacks, want.bucket_fallbacks,
+                    "fallbacks of peer {p}"
+                );
+            }
+            assert!(
+                scratch.slot.iter().all(|&j| j == ABSENT),
+                "a proposal left its neighbourhood loaded"
+            );
+        }
+
+        /// Neighbourhoods on both sides of every bitmap word boundary:
+        /// peers 0..6 have exactly 0, 1, 63, 64, 65 and 130 friends, drawn
+        /// from a clustered background graph so the rows are non-trivial.
+        #[test]
+        fn rows_match_scans_at_word_boundaries() {
+            const SIZES: [u32; 6] = [0, 1, 63, 64, 65, 130];
+            let background = BarabasiAlbert::with_closure(200, 5, 0.5).generate(21);
+            let mut edges: Vec<(u32, u32)> = background
+                .edges()
+                .map(|(u, v)| (u.0 + 6, v.0 + 6))
+                .collect();
+            for (hub, &size) in SIZES.iter().enumerate() {
+                edges.extend((0..size).map(|i| (hub as u32, 6 + i)));
+            }
+            let g = osn_graph::GraphBuilder::from_edges(206, edges);
+            let mut n = SelectNetwork::bootstrap(g, SelectConfig::default().with_seed(21));
+            for (hub, &size) in SIZES.iter().enumerate() {
+                assert_eq!(n.online_friends(hub as u32).len(), size as usize);
+            }
+            assert_rows_match_scans(&n);
+            for _ in 0..3 {
+                n.gossip_round();
+            }
+            // Mid-convergence friends sit next to each other on the ring,
+            // so ring links contribute bitmap bits, not only long links.
+            let ring_link_inside_neighbourhood = (0..n.len() as u32).any(|p| {
+                let friends = n.online_friends(p);
+                friends.iter().any(|&u| {
+                    n.tables[u as usize]
+                        .successor
+                        .is_some_and(|s| s != u && friends.contains(&s))
+                })
+            });
+            assert!(ring_link_inside_neighbourhood);
+            assert_rows_match_scans(&n);
+            // `all_links` drops a table's reference to its own peer.
+            n.tables[6].add_long(6);
+            assert_rows_match_scans(&n);
+            // No bucket at all: the whole list is the coverage tail.
+            n.k = 0;
+            assert_rows_match_scans(&n);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            /// Random graphs, overlays stopped mid-convergence, random
+            /// liveness masks: the triangle-row proposal is the scan-based
+            /// one, field for field.
+            #[test]
+            fn rows_match_scans_on_random_overlays(
+                seed in 0u64..1000,
+                communities in any::<bool>(),
+                rounds_before in 0usize..5,
+                offline in proptest::collection::vec(0u32..160, 0..60),
+                rounds_after in 0usize..2,
+            ) {
+                let g = if communities {
+                    osn_graph::generators::CommunityBa::new(160, 6, 1.5, 0.5, 40).generate(seed)
+                } else {
+                    BarabasiAlbert::with_closure(160, 8, 0.4).generate(seed)
+                };
+                let mut n = SelectNetwork::bootstrap(g, SelectConfig::default().with_seed(seed));
+                for _ in 0..rounds_before {
+                    n.gossip_round();
+                }
+                for &p in &offline {
+                    n.set_offline(p);
+                }
+                for _ in 0..rounds_after {
+                    n.gossip_round();
+                }
+                assert_rows_match_scans(&n);
             }
         }
 

@@ -8,7 +8,8 @@
 //! better bandwidth (Algorithm 6).
 
 use crate::bitmaps::{coverage, friendship_bitmap};
-use osn_lsh::{BitSampling, LshIndex};
+use osn_lsh::{BitSampling, Bitmap, LshFamily};
+use std::cmp::Ordering;
 
 /// A candidate friend for a long-range link.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -23,26 +24,49 @@ pub struct LinkCandidate {
 
 /// Algorithm 6: chooses the connection target from one bucket's members.
 ///
-/// Members are sorted by descending coverage (ties: descending bandwidth,
+/// Members are ranked by descending coverage (ties: descending bandwidth,
 /// then ascending id for determinism). If the top candidate has strictly
 /// worse bandwidth than the runner-up, the runner-up wins.
 ///
 /// # Panics
 /// Panics on an empty bucket.
 pub fn picker(members: &[LinkCandidate]) -> u32 {
-    assert!(!members.is_empty(), "picker requires a non-empty bucket");
-    // selint: allow(hotpath-alloc, reached only via create_links on a LinkCache miss; buckets are small (LSH-bounded))
-    let mut sorted: Vec<LinkCandidate> = members.to_vec();
-    sorted.sort_by(|a, b| {
-        b.coverage
-            .cmp(&a.coverage)
-            .then(b.bandwidth.total_cmp(&a.bandwidth))
-            .then(a.peer.cmp(&b.peer))
-    });
-    if sorted.len() > 1 && sorted[0].bandwidth < sorted[1].bandwidth {
-        sorted[1].peer
-    } else {
-        sorted[0].peer
+    let mut best = TopTwo::default();
+    members.iter().for_each(|&c| best.offer(c));
+    best.choice().expect("picker requires a non-empty bucket")
+}
+
+/// The two best candidates offered so far under [`picker`]'s ranking — all
+/// the runner-up rule needs, kept in one pass instead of a full sort.
+#[derive(Clone, Copy, Default)]
+struct TopTwo {
+    top: Option<LinkCandidate>,
+    runner_up: Option<LinkCandidate>,
+}
+
+impl TopTwo {
+    fn offer(&mut self, c: LinkCandidate) {
+        let outranks = |a: &LinkCandidate, b: &LinkCandidate| {
+            b.coverage
+                .cmp(&a.coverage)
+                .then(b.bandwidth.total_cmp(&a.bandwidth))
+                .then(a.peer.cmp(&b.peer))
+                == Ordering::Less
+        };
+        if self.top.is_none_or(|t| outranks(&c, &t)) {
+            self.runner_up = self.top.replace(c);
+        } else if self.runner_up.is_none_or(|r| outranks(&c, &r)) {
+            self.runner_up = Some(c);
+        }
+    }
+
+    /// Algorithm 6's pick; `None` if nothing was offered.
+    fn choice(&self) -> Option<u32> {
+        let top = self.top?;
+        Some(match self.runner_up {
+            Some(r) if top.bandwidth < r.bandwidth => r.peer,
+            _ => top.peer,
+        })
     }
 }
 
@@ -75,14 +99,36 @@ impl LinkSelection {
 /// membership (and hence recovery replacement pools) is consistent.
 ///
 /// `neighbourhood` must be sorted ascending (every caller passes a CSR
-/// neighbour row or a sorted key list); coverage lookup is a binary search
-/// into a vec aligned with it rather than a hash map.
+/// neighbour row or a sorted key list); bit positions and coverage are
+/// index-aligned with it.
 pub fn create_links(
     neighbourhood: &[u32],
     k: usize,
     lsh_samples: usize,
     lsh_seed: u64,
     links_of: impl Fn(u32) -> Vec<u32>,
+    bandwidth_of: impl Fn(u32) -> f64,
+) -> LinkSelection {
+    create_links_from_bitmaps(
+        neighbourhood,
+        k,
+        lsh_samples,
+        lsh_seed,
+        |j, bm| *bm = friendship_bitmap(neighbourhood, &links_of(neighbourhood[j])),
+        bandwidth_of,
+    )
+}
+
+/// The Algorithm 5 core behind [`create_links`]: `fill_bitmap(j, bm)` writes
+/// the friendship bitmap of `neighbourhood[j]` into one `|C_p|`-bit buffer
+/// that is reused for every friend, so a caller holding word-packed rows
+/// (the gossip round's triangle matrix) builds no per-friend link set.
+pub(crate) fn create_links_from_bitmaps(
+    neighbourhood: &[u32],
+    k: usize,
+    lsh_samples: usize,
+    lsh_seed: u64,
+    mut fill_bitmap: impl FnMut(usize, &mut Bitmap),
     bandwidth_of: impl Fn(u32) -> f64,
 ) -> LinkSelection {
     debug_assert!(
@@ -93,39 +139,28 @@ pub fn create_links(
         return LinkSelection::default();
     }
     let dim = neighbourhood.len();
-    let family = BitSampling::new(dim.max(1), k, lsh_samples.max(1), lsh_seed);
-    let mut index = LshIndex::new(family);
-    // Coverage per neighbour, index-aligned with `neighbourhood`.
-    let mut cov: Vec<usize> = Vec::with_capacity(dim);
-    for &u in neighbourhood {
-        let bm = friendship_bitmap(neighbourhood, &links_of(u));
-        index.insert(u, &bm);
-        cov.push(coverage(&bm));
-    }
-    let cov_of = |u: u32| {
-        cov[neighbourhood
-            .binary_search(&u)
-            .expect("bucket member outside neighbourhood")]
-    };
-
+    let family = BitSampling::new(dim, k, lsh_samples.max(1), lsh_seed);
     let mut selection = LinkSelection {
         targets: Vec::with_capacity(k),
-        buckets: vec![Vec::new(); index.num_buckets()],
+        buckets: vec![Vec::new(); k],
     };
-    for (b, members) in index.non_empty_buckets() {
-        // selint: allow(hotpath-alloc, link selection runs only on a LinkCache miss; hits are allocation-free)
-        selection.buckets[b] = members.to_vec();
-        let candidates: Vec<LinkCandidate> = members
-            .iter()
-            .map(|&u| LinkCandidate {
-                peer: u,
-                coverage: cov_of(u),
-                bandwidth: bandwidth_of(u),
-            })
-            // selint: allow(hotpath-alloc, cache-miss slow path; see buckets waiver above)
-            .collect();
-        selection.targets.push(picker(&candidates));
+    // Friends are distinct and visited in ascending order, so buckets need
+    // no dedup and list their members ascending.
+    let mut best = vec![TopTwo::default(); k];
+    let mut bm = Bitmap::zeros(dim);
+    for (j, &u) in neighbourhood.iter().enumerate() {
+        fill_bitmap(j, &mut bm);
+        let b = family.bucket_of(&bm);
+        selection.buckets[b].push(u);
+        best[b].offer(LinkCandidate {
+            peer: u,
+            coverage: coverage(&bm),
+            bandwidth: bandwidth_of(u),
+        });
     }
+    selection
+        .targets
+        .extend(best.iter().filter_map(TopTwo::choice));
     selection
 }
 
@@ -155,6 +190,34 @@ mod tests {
         // Runner-up no faster → top wins.
         let got = picker(&[cand(1, 9, 3.0), cand(2, 5, 1.0)]);
         assert_eq!(got, 1);
+    }
+
+    proptest::proptest! {
+        /// The one-pass top-two equals the definition: sort the bucket by
+        /// (coverage desc, bandwidth desc, id asc), then the runner-up rule.
+        #[test]
+        fn picker_equals_full_sort(
+            keys in proptest::collection::vec((0usize..4, 0u8..3), 1..12),
+        ) {
+            let members: Vec<LinkCandidate> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &(coverage, bw))| cand((i as u32 * 7 + 3) % 13, coverage, bw as f64))
+                .collect();
+            let mut sorted = members.clone();
+            sorted.sort_by(|a, b| {
+                b.coverage
+                    .cmp(&a.coverage)
+                    .then(b.bandwidth.total_cmp(&a.bandwidth))
+                    .then(a.peer.cmp(&b.peer))
+            });
+            let want = if sorted.len() > 1 && sorted[0].bandwidth < sorted[1].bandwidth {
+                sorted[1].peer
+            } else {
+                sorted[0].peer
+            };
+            proptest::prop_assert_eq!(picker(&members), want);
+        }
     }
 
     #[test]

@@ -341,8 +341,16 @@ impl SelectNetwork {
             self.online[p as usize] = false;
             self.strengths.set_alive(&self.graph, p, false);
             self.invalidate_link_caches_around(p);
+            // Vacating a ring position re-stitches exactly the two online
+            // peers adjacent to it.
+            let adjacent = [
+                self.ring.successor_of_peer(p),
+                self.ring.predecessor_of_peer(p),
+            ];
             self.ring.remove(p);
-            self.refresh_short_links();
+            for q in adjacent.into_iter().flatten() {
+                Self::restitch(&self.ring, &mut self.tables, q);
+            }
         }
     }
 
@@ -353,7 +361,16 @@ impl SelectNetwork {
             self.strengths.set_alive(&self.graph, p, true);
             self.invalidate_link_caches_around(p);
             self.ring.insert(p, self.positions[p as usize]);
-            self.refresh_short_links();
+            // Joining changes `p`'s own ring links and those of the two
+            // peers it lands between.
+            let affected = [
+                Some(p),
+                self.ring.successor_of_peer(p),
+                self.ring.predecessor_of_peer(p),
+            ];
+            for q in affected.into_iter().flatten() {
+                Self::restitch(&self.ring, &mut self.tables, q);
+            }
         }
     }
 
@@ -379,23 +396,19 @@ impl SelectNetwork {
         }
     }
 
-    /// Recomputes every online peer's successor/predecessor from the ring.
+    /// Recomputes online peer `p`'s successor/predecessor from the ring.
+    /// Version-aware write: only an actual ring move bumps the table version
+    /// and thus spoils dependent link caches.
+    fn restitch(ring: &RingIndex, tables: &mut [RoutingTable], p: u32) {
+        tables[p as usize].set_short_links(ring.successor_of_peer(p), ring.predecessor_of_peer(p));
+    }
+
+    /// Recomputes every online peer's successor/predecessor from the ring —
+    /// the full pass, for bootstrap and rounds, where many peers move at
+    /// once. A single liveness toggle re-stitches only the adjacent peers.
     pub(crate) fn refresh_short_links(&mut self) {
-        let updates: Vec<(u32, Option<u32>, Option<u32>)> = self
-            .ring
-            .iter()
-            .map(|(_, p)| {
-                (
-                    p,
-                    self.ring.successor_of_peer(p),
-                    self.ring.predecessor_of_peer(p),
-                )
-            })
-            .collect();
-        for (p, s, d) in updates {
-            // Version-aware write: only actual ring moves bump the table
-            // version and thus spoil dependent link caches.
-            self.tables[p as usize].set_short_links(s, d);
+        for (_, p) in self.ring.iter() {
+            Self::restitch(&self.ring, &mut self.tables, p);
         }
     }
 
@@ -507,6 +520,56 @@ mod tests {
         net.set_online(10);
         assert_eq!(net.identifier_of(10), pos, "position preserved");
         assert_eq!(net.online_count(), 100);
+    }
+
+    /// `set_offline`/`set_online` as they were before the local re-stitch:
+    /// the same bookkeeping followed by the full ring pass.
+    fn toggle_with_full_refresh(net: &mut SelectNetwork, p: u32, online: bool) {
+        if net.online[p as usize] == online {
+            return;
+        }
+        net.online[p as usize] = online;
+        net.strengths.set_alive(&net.graph, p, online);
+        net.invalidate_link_caches_around(p);
+        if online {
+            net.ring.insert(p, net.positions[p as usize]);
+        } else {
+            net.ring.remove(p);
+        }
+        net.refresh_short_links();
+    }
+
+    proptest::proptest! {
+        /// A toggle re-stitches only the adjacent peers, yet every table's
+        /// ring links *and version* equal those of the full pass — down to
+        /// rings of two, one and zero peers.
+        #[test]
+        fn toggles_restitch_exactly_what_the_full_pass_does(
+            seed in 0u64..200,
+            toggles in proptest::collection::vec((0u32..16, proptest::prelude::any::<bool>()), 0..80),
+        ) {
+            let g = BarabasiAlbert::new(16, 3).generate(seed);
+            let mut local = SelectNetwork::bootstrap(g, SelectConfig::default().with_seed(seed));
+            local.gossip_round();
+            let mut full = local.clone();
+            // Whatever the draw, end by emptying the ring and refilling it.
+            let drain = (0..16u32).map(|p| (p, false));
+            let refill = (0..16u32).map(|p| (p, true));
+            for (p, online) in toggles.into_iter().chain(drain).chain(refill) {
+                if online {
+                    local.set_online(p);
+                } else {
+                    local.set_offline(p);
+                }
+                toggle_with_full_refresh(&mut full, p, online);
+                for q in 0..16u32 {
+                    let (a, b) = (local.table(q), full.table(q));
+                    proptest::prop_assert_eq!(a.successor, b.successor, "successor of {}", q);
+                    proptest::prop_assert_eq!(a.predecessor, b.predecessor, "predecessor of {}", q);
+                    proptest::prop_assert_eq!(a.version(), b.version(), "version of {}", q);
+                }
+            }
+        }
     }
 
     #[test]

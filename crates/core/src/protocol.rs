@@ -407,13 +407,10 @@ impl ProtocolNetwork {
             tel.rounds.push(RoundTelemetry {
                 round: round as u64,
                 id_moves: s.id_moves,
-                id_movement: 0.0,
                 link_changes: s.link_changes,
                 messages: s.messages as u64,
-                lsh_bucket_hits: 0,
-                lsh_bucket_fallbacks: 0,
                 wall_nanos: round_start.elapsed().as_nanos() as u64,
-                link_candidates: osn_obs::Histogram::new(),
+                ..RoundTelemetry::default()
             });
             if s.id_moves == 0 && s.link_changes == 0 && round > 2 {
                 quiet += 1;

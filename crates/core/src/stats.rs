@@ -9,10 +9,10 @@ use osn_obs::Histogram;
 
 /// What one gossip round did, as recorded by the superstep round loop.
 ///
-/// Everything except `wall_nanos` is a pure function of the network state
-/// and the seed, so two runs of the same network — at *any* thread count —
-/// produce equal telemetry. Equality deliberately ignores `wall_nanos`
-/// (wall-clock time is the one legitimately nondeterministic output).
+/// Everything except the `*_nanos` timers is a pure function of the network
+/// state and the seed, so two runs of the same network — at *any* thread
+/// count — produce equal telemetry. Equality deliberately ignores every
+/// `*_nanos` field (time is the one legitimately nondeterministic output).
 #[derive(Clone, Debug, Default)]
 pub struct RoundTelemetry {
     /// Round counter (1-based across the network's lifetime).
@@ -37,6 +37,25 @@ pub struct RoundTelemetry {
     pub link_candidates: Histogram,
     /// Wall-clock time of the round in nanoseconds. Excluded from equality.
     pub wall_nanos: u64,
+    /// Wall-clock time of the identifier superstep (compute + apply).
+    /// Like every timer below, excluded from equality.
+    pub id_nanos: u64,
+    /// Wall-clock time of the link superstep's parallel compute half.
+    pub link_compute_nanos: u64,
+    /// Wall-clock time of the link superstep's sequential apply half
+    /// (bucket stores, `reconcile_links`, cache refresh).
+    pub link_apply_nanos: u64,
+    /// Wall-clock time of the end-of-round ring short-link refresh.
+    pub ring_nanos: u64,
+    /// CPU time inside the compute half spent loading neighbourhoods and
+    /// their triangle rows, summed over shards (so it can exceed
+    /// `link_compute_nanos` on more than one thread). Cache hits skip it.
+    pub rows_nanos: u64,
+    /// CPU time building friendship bitmaps, LSH-bucketing them and picking
+    /// one representative per bucket, summed over shards.
+    pub lsh_nanos: u64,
+    /// CPU time in the greedy set-cover / strength tail, summed over shards.
+    pub cover_nanos: u64,
 }
 
 impl RoundTelemetry {
@@ -56,6 +75,21 @@ impl RoundTelemetry {
         }
     }
 
+    /// The phase timers by name, in round order: the four wall-clock
+    /// segments of the round, then the three per-shard CPU sums inside the
+    /// link compute half.
+    pub fn phase_nanos(&self) -> [(&'static str, u64); 7] {
+        [
+            ("id", self.id_nanos),
+            ("link_compute", self.link_compute_nanos),
+            ("link_apply", self.link_apply_nanos),
+            ("ring", self.ring_nanos),
+            ("rows", self.rows_nanos),
+            ("lsh", self.lsh_nanos),
+            ("cover", self.cover_nanos),
+        ]
+    }
+
     /// The round's change counters in the legacy [`RoundChanges`] shape.
     pub fn changes(&self) -> RoundChanges {
         RoundChanges {
@@ -67,7 +101,8 @@ impl RoundTelemetry {
 
 impl PartialEq for RoundTelemetry {
     fn eq(&self, other: &Self) -> bool {
-        // wall_nanos intentionally omitted: timing may differ, results not.
+        // Every *_nanos timer intentionally omitted: timing may differ,
+        // results not.
         self.round == other.round
             && self.id_moves == other.id_moves
             && self.id_movement == other.id_movement
@@ -133,6 +168,17 @@ impl ConvergenceTelemetry {
         } else {
             hits as f64 / total as f64
         }
+    }
+
+    /// [`RoundTelemetry::phase_nanos`] summed over all rounds.
+    pub fn phase_nanos(&self) -> [(&'static str, u64); 7] {
+        let mut total = RoundTelemetry::default().phase_nanos();
+        for r in &self.rounds {
+            for (sum, (_, nanos)) in total.iter_mut().zip(r.phase_nanos()) {
+                sum.1 += nanos;
+            }
+        }
+        total
     }
 
     /// Distribution of superstep messages per round over the whole run.

@@ -31,6 +31,26 @@ impl Bitmap {
         bm
     }
 
+    /// Overwrites every bit from `words`: bit `i` becomes bit `i % 64` of
+    /// `words[i / 64]`. Lets a caller that already holds word-packed rows
+    /// refill one bitmap per row instead of allocating one.
+    ///
+    /// # Panics
+    /// Panics if `words` is not exactly `len.div_ceil(64)` long or sets a bit
+    /// at or beyond `len`.
+    pub fn copy_from_words(&mut self, words: &[u64]) {
+        assert_eq!(words.len(), self.blocks.len(), "word count mismatch");
+        if let Some(&last) = words.last() {
+            let used = self.len - (words.len() - 1) * 64;
+            assert!(
+                used == 64 || last >> used == 0,
+                "bit beyond length {}",
+                self.len
+            );
+        }
+        self.blocks.copy_from_slice(words);
+    }
+
     /// Number of bits.
     pub fn len(&self) -> usize {
         self.len
@@ -128,6 +148,23 @@ mod tests {
     fn from_set_bits_and_ones() {
         let bm = Bitmap::from_set_bits(10, [1, 3, 7]);
         assert_eq!(bm.ones().collect::<Vec<_>>(), vec![1, 3, 7]);
+    }
+
+    #[test]
+    fn copy_from_words_overwrites_all_bits() {
+        let mut bm = Bitmap::from_set_bits(70, [0, 69]);
+        bm.copy_from_words(&[1 << 63, 0b10]);
+        assert_eq!(bm.ones().collect::<Vec<_>>(), vec![63, 65]);
+        let mut full = Bitmap::zeros(64);
+        full.copy_from_words(&[u64::MAX]);
+        assert_eq!(full.count_ones(), 64);
+        Bitmap::zeros(0).copy_from_words(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond length")]
+    fn copy_from_words_rejects_trailing_bits() {
+        Bitmap::zeros(70).copy_from_words(&[0, 1 << 6]);
     }
 
     #[test]

@@ -47,7 +47,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use select::baselines::{build_system, SystemKind};
-use select::core::{SelectConfig, SelectNetwork};
+use select::core::{ConvergenceTelemetry, SelectConfig, SelectNetwork};
 use select::graph::prelude::*;
 use select::net::{publish_over, SocketNetwork, StatsSnapshot, ThreadedNetwork, Transport};
 use select::obs::{FlightRecorder, MetricsSnapshot, Observer, TraceAssembler};
@@ -106,7 +106,12 @@ impl Opts {
 /// Writes `--metrics-out` (Prometheus text for `.prom`, JSON otherwise) and
 /// dumps failed journeys to stderr when tracing was on. `wire` carries the
 /// transport replay's telemetry, merged in as `select_wire_*` gauges.
-fn flush_observer(opts: &Opts, obs: &Observer, wire: Option<(&str, StatsSnapshot)>) {
+fn flush_observer(
+    opts: &Opts,
+    obs: &Observer,
+    conv: &ConvergenceTelemetry,
+    wire: Option<(&str, StatsSnapshot)>,
+) {
     if let Some(fr) = &obs.flight {
         let mut dump = String::new();
         let failed = fr.dump_failed(16, &mut dump);
@@ -129,6 +134,14 @@ fn flush_observer(opts: &Opts, obs: &Observer, wire: Option<(&str, StatsSnapshot
         .with_histogram("select_publish_retries", m.retries.clone())
         .with_histogram("select_publish_latency_virtual_ms", m.latency_ms.clone())
         .with_histogram("select_relay_load", m.relay_load_histogram());
+    // Where the convergence run's time went. Wall-clock, so these are the
+    // only gauges that differ between two runs of the same seed.
+    for (phase, nanos) in conv.phase_nanos() {
+        snap = snap.with_gauge(
+            &format!("select_gossip_phase_{phase}_ms"),
+            nanos as f64 / 1e6,
+        );
+    }
     if let Some((transport, stats)) = wire {
         snap = stats.merge_into(snap, transport);
     }
@@ -261,7 +274,7 @@ fn parse(args: &[String]) -> Result<(String, Opts), String> {
     Ok((cmd.unwrap_or_else(|| "demo".into()), opts))
 }
 
-fn converged(opts: &Opts) -> (SocialGraph, SelectNetwork) {
+fn converged(opts: &Opts) -> (SocialGraph, SelectNetwork, ConvergenceTelemetry) {
     let graph = opts.dataset.generate_with_nodes(opts.nodes, opts.seed);
     eprintln!(
         "[select] {} preset: {} users, avg degree {:.1}",
@@ -298,25 +311,34 @@ fn converged(opts: &Opts) -> (SocialGraph, SelectNetwork) {
         conv.rounds,
         conv.telemetry.summary()
     );
-    // Per-round telemetry: every round until quiescence, one line each.
+    // Per-round telemetry: every round until quiescence, one line each,
+    // ending in the round's phase split (wall segments, then the per-shard
+    // CPU sums inside the link compute half).
     for r in &conv.telemetry.rounds {
+        let phases: Vec<String> = r
+            .phase_nanos()
+            .iter()
+            .map(|(phase, nanos)| format!("{phase} {:.2} ms", *nanos as f64 / 1e6))
+            .collect();
         eprintln!(
             "[select]   round {:3}: {:4} msgs, {:3} id moves ({:.4} ring), \
-             {:4} link changes, bucket hit rate {:5.1}%, {:.2} ms",
+             {:4} link changes, bucket hit rate {:5.1}%, {:.2} ms [wall: {}; cpu: {}]",
             r.round,
             r.messages,
             r.id_moves,
             r.id_movement,
             r.link_changes,
             r.bucket_hit_rate() * 100.0,
-            r.wall_nanos as f64 / 1e6
+            r.wall_nanos as f64 / 1e6,
+            phases[..4].join(", "),
+            phases[4..].join(", ")
         );
     }
-    (graph, net)
+    (graph, net, conv.telemetry)
 }
 
 fn cmd_demo(opts: &Opts) {
-    let (graph, net) = converged(opts);
+    let (graph, net, conv) = converged(opts);
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let fault_mode = opts.fault_plan().is_active();
     let mut observer = opts.observer(graph.num_nodes());
@@ -344,7 +366,7 @@ fn cmd_demo(opts: &Opts) {
     if let Some(obs) = &observer {
         let (p50, p95, p99) = obs.metrics.latency_ms.tails();
         eprintln!("[select] delivery latency p50/p95/p99: {p50}/{p95}/{p99} virtual ms");
-        flush_observer(opts, obs, wire.as_ref().map(|(name, s)| (*name, *s)));
+        flush_observer(opts, obs, &conv, wire.as_ref().map(|(name, s)| (*name, *s)));
     }
 }
 
@@ -492,7 +514,7 @@ fn cmd_compare(opts: &Opts) {
 }
 
 fn cmd_churn(opts: &Opts) {
-    let (graph, mut net) = converged(opts);
+    let (graph, mut net, conv) = converged(opts);
     for _ in 0..5 {
         net.probe_round();
     }
@@ -543,12 +565,12 @@ fn cmd_churn(opts: &Opts) {
         println!("fault telemetry     : {}", delivery.summary());
     }
     if let Some(obs) = &observer {
-        flush_observer(opts, obs, None);
+        flush_observer(opts, obs, &conv, None);
     }
 }
 
 fn cmd_stats(opts: &Opts) {
-    let (_, net) = converged(opts);
+    let (_, net, _) = converged(opts);
     let s = net.overlay_stats(5_000);
     println!("online peers            : {}", s.online);
     println!("friend distance (ring)  : {:.4}", s.mean_friend_distance);
