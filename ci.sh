@@ -55,9 +55,11 @@ cargo test -q --offline --test churn_failure_injection --test properties
 echo "==> golden-state pin (flattened storage must stay bit-identical)"
 cargo test -q --offline --test golden_state --test parallel_determinism
 
-echo "==> incremental-vs-rebuild equivalence (delta LSH/strength state, batched publish)"
+echo "==> incremental-vs-rebuild equivalence (delta LSH/strength state, connection index,"
+echo "    batched publish, stage-2 early exit vs the exhaustive reference planner)"
 cargo test -q --offline -p select-core equivalence
 cargo test -q --offline -p select-core batched_publish
+cargo test -q --offline -p select-core early_exit
 cargo test -q --offline --test golden_state batched
 
 echo "==> overlay auditor (every invariant on every round, plus the golden pin)"

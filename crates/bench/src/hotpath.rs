@@ -93,13 +93,15 @@ pub fn baseline_for(preset: &str) -> Option<HotpathBaseline> {
 /// batched routing path plans one scratch traversal per `BATCH` publishes.
 pub const BATCH: usize = 8;
 
-/// Publishes/sec of the *sequential* publish loop recorded immediately
-/// before the batched-routing change (same harness, threads = 1, seed 42,
-/// `count-allocs` on, release mode), so `BENCH_hotpath.json` carries the
-/// full trajectory: HashMap-era baseline → flattened sequential → batched.
-pub fn pre_batch_for(preset: &str) -> Option<f64> {
+/// Publishes/sec this harness recorded at the optimization stages before
+/// the current one (threads = 1, seed 42, `count-allocs` on, release mode),
+/// oldest first, so `BENCH_hotpath.json` carries the full trajectory:
+/// HashMap-era baseline → flattened sequential (the sequential publish loop
+/// immediately before batched routing) → batched → connection index (the
+/// run being written). `None` for presets with no recorded history.
+pub fn recorded_stages_for(preset: &str) -> Option<&'static [(&'static str, f64)]> {
     match preset {
-        "quick" => Some(9_381.96),
+        "quick" => Some(&[("flattened-sequential", 9_381.96), ("batched", 82_170.224)]),
         _ => None,
     }
 }
@@ -254,8 +256,8 @@ pub fn render_json(preset: &str, seed: u64, m: &HotpathMetrics) -> String {
     }
     // Throughput trajectory across the optimization PRs. `check_json` ignores
     // keys it does not know, so older validators keep accepting this file.
-    match pre_batch_for(preset) {
-        Some(pre) => {
+    match recorded_stages_for(preset) {
+        Some(stages) => {
             out.push_str("  \"trajectory\": [\n");
             if let Some(b) = baseline_for(preset) {
                 out.push_str(&format!(
@@ -264,11 +266,13 @@ pub fn render_json(preset: &str, seed: u64, m: &HotpathMetrics) -> String {
                     b.commit, b.publishes_per_sec
                 ));
             }
+            for (stage, per_sec) in stages {
+                out.push_str(&format!(
+                    "    {{ \"stage\": \"{stage}\", \"publishes_per_sec\": {per_sec:.3} }},\n"
+                ));
+            }
             out.push_str(&format!(
-                "    {{ \"stage\": \"flattened-sequential\", \"publishes_per_sec\": {pre:.3} }},\n"
-            ));
-            out.push_str(&format!(
-                "    {{ \"stage\": \"batched\", \"publishes_per_sec\": {:.3} }}\n",
+                "    {{ \"stage\": \"connection-index\", \"publishes_per_sec\": {:.3} }}\n",
                 m.publishes_per_sec
             ));
             out.push_str("  ]\n");
@@ -703,7 +707,12 @@ mod tests {
         };
         let json = render_json("quick", 42, &m);
         check_json(&json).expect("trajectory key must not break the schema");
-        for stage in ["hashmap-baseline", "flattened-sequential", "batched"] {
+        for stage in [
+            "hashmap-baseline",
+            "flattened-sequential",
+            "batched",
+            "connection-index",
+        ] {
             assert!(json.contains(stage), "missing trajectory stage {stage}");
         }
         // No recorded history → explicit null, still schema-valid.

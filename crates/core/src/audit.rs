@@ -26,6 +26,9 @@
 //!   `num_directed_edges` long and every stored bucket id is `< K` or the
 //!   [`NO_BUCKET`] sentinel.
 //! * **cma-range** — every CMA availability estimate lies in `[0, 1]`.
+//! * **connection-index** — if a connection index is held, every row equals
+//!   a fresh merge of that peer's tables and liveness: the writers of the
+//!   round just audited all dropped it.
 //!
 //! The auditor is read-only and O(n·(deg+K²)) per call, which is why it sits
 //! behind the `audit` feature instead of running unconditionally.
@@ -106,8 +109,17 @@ impl SelectNetwork {
             }
         }
 
+        if let Some(p) = self.first_stale_connection_row() {
+            violated!(
+                "connection-index",
+                Some(p),
+                None,
+                "held index row differs from a fresh merge (a writer did not drop the index)"
+            );
+        }
+
         for p in 0..n as u32 {
-            if !self.online[p as usize] {
+            if !self.is_peer_online(p) {
                 if self.ring.contains(p) {
                     violated!(
                         "ring-membership",
@@ -125,7 +137,7 @@ impl SelectNetwork {
 
     /// Invariants scoped to one online peer.
     fn audit_peer(&self, p: u32) -> Result<(), AuditViolation> {
-        let table = &self.tables[p as usize];
+        let table = self.table(p);
 
         // ring-membership: the ring stores exactly the recorded identifier.
         match self.ring.position_of(p) {
@@ -157,24 +169,24 @@ impl SelectNetwork {
             );
         }
         if let Some(s) = succ {
-            if self.tables[s as usize].predecessor != Some(p) {
+            if self.table(s).predecessor != Some(p) {
                 violated!(
                     "ring-symmetry",
                     Some(p),
                     None,
                     "successor {s} does not point back (its pred: {:?})",
-                    self.tables[s as usize].predecessor
+                    self.table(s).predecessor
                 );
             }
         }
         if let Some(q) = pred {
-            if self.tables[q as usize].successor != Some(p) {
+            if self.table(q).successor != Some(p) {
                 violated!(
                     "ring-symmetry",
                     Some(p),
                     None,
                     "predecessor {q} does not point back (its succ: {:?})",
-                    self.tables[q as usize].successor
+                    self.table(q).successor
                 );
             }
         }
@@ -206,7 +218,7 @@ impl SelectNetwork {
                     "long link to non-friend {u} (no CSR slot)"
                 );
             };
-            if !self.tables[u as usize].incoming_links().contains(&p) {
+            if !self.table(u).incoming_links().contains(&p) {
                 violated!(
                     "link-symmetry",
                     Some(p),
@@ -229,7 +241,7 @@ impl SelectNetwork {
             );
         }
         for &q in incoming {
-            if !self.tables[q as usize].long_links().contains(&p) {
+            if !self.table(q).long_links().contains(&p) {
                 violated!(
                     "link-symmetry",
                     Some(p),
@@ -279,7 +291,7 @@ mod tests {
         let stranger = (0..net.len() as u32)
             .find(|&q| q != p && net.edge_slot(p, q).is_none())
             .expect("some non-friend exists");
-        net.tables[p as usize].add_long(stranger);
+        net.table_mut(p).add_long(stranger);
         let err = net.audit_overlay().unwrap_err();
         assert_eq!(err.invariant, "long-degree");
         assert_eq!(err.peer, Some(p));
@@ -291,9 +303,9 @@ mod tests {
         // Dropping only the incoming half of an established link breaks
         // `link-symmetry`.
         let (p, u) = (0..net.len() as u32)
-            .find_map(|p| net.tables[p as usize].long_links().first().map(|&u| (p, u)))
+            .find_map(|p| net.table(p).long_links().first().map(|&u| (p, u)))
             .expect("converged overlay has long links");
-        net.tables[u as usize].remove_incoming(p);
+        net.table_mut(u).remove_incoming(p);
         let err = net.audit_overlay().unwrap_err();
         assert_eq!(err.invariant, "link-symmetry");
     }

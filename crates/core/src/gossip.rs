@@ -295,7 +295,7 @@ impl SelectNetwork {
         if self.cfg.reassign_ids {
             let net = &*self;
             engine.step_parallel(true, threads, |p, _mail, out| {
-                if net.online[p as usize] {
+                if net.is_peer_online(p) {
                     if let Some(pos) = net.propose_reassignment(p, eps_ticks) {
                         out.push((p, Proposal::Move(pos)));
                     }
@@ -327,7 +327,7 @@ impl SelectNetwork {
             let net = &*self;
             let round_salt = self.round_counter;
             engine.step_parallel_arena(true, threads, &mut arenas, |p, _mail, out, shard| {
-                if net.online[p as usize] {
+                if net.is_peer_online(p) {
                     // Delta-maintenance fast path: if no input of the peer's
                     // last link computation changed (same online friends,
                     // same friend tables), the cached preference list *is*
@@ -566,7 +566,7 @@ impl SelectNetwork {
             |j, bm| {
                 bm.copy_from_words(scratch.row(j));
                 let u = scratch.neigh[j];
-                for link in self.tables[u as usize].outgoing() {
+                for link in self.table(u).outgoing() {
                     let i = scratch.slot[link as usize];
                     if i != ABSENT && link != u {
                         bm.set(i as usize, true);
@@ -645,11 +645,12 @@ impl SelectNetwork {
                 ^ round_salt.wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 ^ (p as u64).rotate_left(32),
         );
-        let mut targets: Vec<u32> = self.tables[p as usize]
+        let mut targets: Vec<u32> = self
+            .table(p)
             .long_links()
             .iter()
             .copied()
-            .filter(|&u| self.online[u as usize])
+            .filter(|&u| self.is_peer_online(u))
             // selint: allow(hotpath-alloc, random-picker ablation branch; the LSH production path reuses the shard scratch)
             .collect();
         let mut pool: Vec<u32> = neighbourhood
@@ -702,7 +703,7 @@ impl SelectNetwork {
     /// CMA recovery is on (§III-F keeps them to avoid reassignment chains).
     pub(crate) fn reconcile_links(&mut self, p: u32, candidates: &[u32]) -> usize {
         let mut changes = 0usize;
-        let current: Vec<u32> = self.tables[p as usize].long_links().to_vec();
+        let current: Vec<u32> = self.table(p).long_links().to_vec();
 
         // Trusted offline links consume budget up front.
         let mut desired: Vec<u32> = current
@@ -712,7 +713,7 @@ impl SelectNetwork {
                 // A never-probed slot (count 0) is *not* trusted: the old
                 // per-peer map simply had no entry for it.
                 self.cfg.cma_recovery
-                    && !self.online[u as usize]
+                    && !self.is_peer_online(u)
                     && self.edge_slot(p, u).is_some_and(|s| {
                         let c = &self.cma[s];
                         c.count() > 0 && !c.is_poor(self.cfg.cma_threshold, self.cfg.cma_min_obs)
@@ -731,19 +732,17 @@ impl SelectNetwork {
                 desired.push(u);
                 continue;
             }
-            if self.tables[p as usize].has_link(u) {
+            if self.table(p).has_link(u) {
                 continue; // already a ring link; no long link needed
             }
-            let bw_p = self.bandwidth[p as usize];
-            let bandwidth = &self.bandwidth;
-            match self.tables[u as usize].offer_incoming(p, bw_p, |q| bandwidth[q as usize]) {
+            match self.offer_incoming(u, p) {
                 Admission::Accepted { evicted } => {
-                    self.tables[p as usize].add_long(u);
+                    self.table_mut(p).add_long(u);
                     desired.push(u);
                     changes += 1;
                     if let Some(w) = evicted {
                         // The displaced peer loses its outgoing link to u.
-                        if self.tables[w as usize].remove_long(u) {
+                        if self.table_mut(w).remove_long(u) {
                             changes += 1;
                         }
                     }
@@ -755,8 +754,8 @@ impl SelectNetwork {
         // Drop current links that did not make the cut.
         for &u in &current {
             if !desired.contains(&u) {
-                self.tables[p as usize].remove_long(u);
-                self.tables[u as usize].remove_incoming(p);
+                self.table_mut(p).remove_long(u);
+                self.table_mut(u).remove_incoming(p);
                 changes += 1;
             }
         }
@@ -805,7 +804,7 @@ impl SelectNetwork {
         let eps_ticks = (self.cfg.convergence_eps * u64::MAX as f64) as u64;
         self.round_counter += 1;
         let mut changes = RoundChanges::default();
-        let mut acted: Vec<u32> = (0..n).filter(|&p| self.online[p as usize]).collect();
+        let mut acted: Vec<u32> = (0..n).filter(|&p| self.is_peer_online(p)).collect();
         acted.retain(|_| self.rng.gen_bool(fraction.clamp(0.0, 1.0)));
         for p in acted {
             if self.cfg.reassign_ids {
@@ -1055,7 +1054,7 @@ mod tests {
         // Post-convergence every online peer's cache must hit: a further
         // round does no Algorithm 5 recomputation at all.
         let hits = (0..n.len() as u32)
-            .filter(|&p| n.online[p as usize] && n.cached_targets_len(p).is_some())
+            .filter(|&p| n.is_peer_online(p) && n.cached_targets_len(p).is_some())
             .count();
         assert_eq!(
             hits,
@@ -1114,7 +1113,7 @@ mod tests {
                     .ranked_friends(p)
                     .iter()
                     .copied()
-                    .filter(|&f| n.online[f as usize])
+                    .filter(|&f| n.is_peer_online(f))
                     .collect();
                 assert_eq!(
                     n.strengths.live_ranked(p),
@@ -1123,7 +1122,7 @@ mod tests {
                 );
                 // Valid link caches ≡ fresh Algorithm 5 (targets + buckets).
                 let cache = &n.link_cache[p as usize];
-                if !(n.online[p as usize] && cache.valid && cache.deps_sum == n.link_deps_sum(p)) {
+                if !(n.is_peer_online(p) && cache.valid && cache.deps_sum == n.link_deps_sum(p)) {
                     continue;
                 }
                 let fresh = n.propose_links(p, n.round_counter);
@@ -1170,7 +1169,7 @@ mod tests {
                 n.cfg.seed ^ (p as u64).rotate_left(32),
                 |j, bm| {
                     let u = neighbourhood[j];
-                    let mut links = n.tables[u as usize].all_links(u);
+                    let mut links = n.table(u).all_links(u);
                     links.extend(n.graph.neighbors(UserId(u)).iter().map(|f| f.0));
                     *bm = osn_lsh::Bitmap::from_set_bits(
                         neighbourhood.len(),
@@ -1228,7 +1227,7 @@ mod tests {
         /// runs it) equals the scan-based definitions.
         fn assert_rows_match_scans(n: &SelectNetwork) {
             let mut scratch = LinkScratch::default();
-            for p in (0..n.len() as u32).filter(|&p| n.online[p as usize]) {
+            for p in (0..n.len() as u32).filter(|&p| n.is_peer_online(p)) {
                 let got = n.propose_links_in(p, n.round_counter, &mut scratch);
                 let want = propose_lsh_links_by_scan(n, p);
                 assert_eq!(got.targets, want.targets, "targets of peer {p}");
@@ -1273,7 +1272,7 @@ mod tests {
             let ring_link_inside_neighbourhood = (0..n.len() as u32).any(|p| {
                 let friends = n.online_friends(p);
                 friends.iter().any(|&u| {
-                    n.tables[u as usize]
+                    n.table(u)
                         .successor
                         .is_some_and(|s| s != u && friends.contains(&s))
                 })
@@ -1281,7 +1280,7 @@ mod tests {
             assert!(ring_link_inside_neighbourhood);
             assert_rows_match_scans(&n);
             // `all_links` drops a table's reference to its own peer.
-            n.tables[6].add_long(6);
+            n.table_mut(6).add_long(6);
             assert_rows_match_scans(&n);
             // No bucket at all: the whole list is the coverage tail.
             n.k = 0;

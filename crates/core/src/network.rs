@@ -10,11 +10,12 @@ use crate::strength::StrengthIndex;
 use hotpath::hotpath;
 use osn_graph::growth::{GrowthModel, JoinEvent};
 use osn_graph::{SocialGraph, UserId};
+use osn_overlay::table::Admission;
 use osn_overlay::{RingId, RingIndex, RoutingTable, Topology};
 use osn_sim::{BandwidthModel, Cma};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Sentinel in [`SelectNetwork::link_buckets`]: this neighbour slot is not in
 /// any LSH bucket of the current selection.
@@ -40,6 +41,27 @@ pub(crate) struct LinkCache {
     pub bucket_hits: u64,
     /// See `bucket_hits`.
     pub bucket_fallbacks: u64,
+}
+
+/// CSR snapshot of every peer's connection list: row `p` holds exactly what
+/// the merge in [`SelectNetwork::merge_connections`] produces for `p`, in
+/// that order. Derived state — adjacency changes at gossip timescale and is
+/// read at message timescale, so it is built once per overlay epoch (on the
+/// first read after a write to `tables` or `online`) and dropped whole by
+/// the next write; there is no per-row bookkeeping to get wrong.
+#[derive(Clone, Debug)]
+struct ConnectionIndex {
+    /// Row `p` is `peers[offsets[p]..offsets[p + 1]]`.
+    offsets: Vec<u32>,
+    peers: Vec<u32>,
+}
+
+impl ConnectionIndex {
+    #[inline]
+    fn row(&self, p: u32) -> &[u32] {
+        let p = p as usize;
+        &self.peers[self.offsets[p] as usize..self.offsets[p + 1] as usize]
+    }
 }
 
 /// Result of [`SelectNetwork::converge`].
@@ -73,9 +95,16 @@ pub struct SelectNetwork {
     pub(crate) ring: RingIndex,
     /// Last known identifier of every peer (kept across churn).
     pub(crate) positions: Vec<RingId>,
-    pub(crate) tables: Vec<RoutingTable>,
+    /// Private with `online` and `connection_index`: every write to a table or a
+    /// liveness flag must drop the connection index, so writers outside this
+    /// module go through [`SelectNetwork::table_mut`] /
+    /// [`SelectNetwork::offer_incoming`] and the compiler enforces it.
+    tables: Vec<RoutingTable>,
     pub(crate) bandwidth: Vec<f64>,
-    pub(crate) online: Vec<bool>,
+    online: Vec<bool>,
+    /// Lazily built snapshot of all connection lists; see
+    /// [`ConnectionIndex`]. Empty between a write and the next read.
+    connection_index: OnceLock<ConnectionIndex>,
     pub(crate) strengths: StrengthIndex,
     /// CMA availability estimate per directed social edge, indexed by
     /// [`SocialGraph::neighbor_slot`]. A slot with `count() == 0` has never
@@ -173,6 +202,7 @@ impl SelectNetwork {
             tables: (0..n).map(|_| RoutingTable::new(k)).collect(),
             bandwidth,
             online: vec![false; n],
+            connection_index: OnceLock::new(),
             strengths,
             cma: vec![Cma::default(); edges],
             link_buckets: vec![NO_BUCKET; edges],
@@ -227,6 +257,7 @@ impl SelectNetwork {
     }
 
     /// Whether `p` is online.
+    #[inline]
     pub fn is_peer_online(&self, p: u32) -> bool {
         self.online[p as usize]
     }
@@ -242,6 +273,7 @@ impl SelectNetwork {
     }
 
     /// The routing table of `p`.
+    #[inline]
     pub fn table(&self, p: u32) -> &RoutingTable {
         &self.tables[p as usize]
     }
@@ -267,26 +299,112 @@ impl SelectNetwork {
         );
     }
 
+    /// Mutable access to `p`'s routing table for the protocol steps in
+    /// sibling modules. Drops the connection index: the caller is about to
+    /// change what some row holds.
+    #[inline]
+    pub(crate) fn table_mut(&mut self, p: u32) -> &mut RoutingTable {
+        self.connection_index.take();
+        &mut self.tables[p as usize]
+    }
+
+    /// `u`'s incoming-admission decision on a link offered by `p` (§III-D),
+    /// with every peer's upload bandwidth as the eviction ranking.
+    pub(crate) fn offer_incoming(&mut self, u: u32, p: u32) -> Admission {
+        self.connection_index.take();
+        let bandwidth = &self.bandwidth;
+        self.tables[u as usize].offer_incoming(p, bandwidth[p as usize], |q| bandwidth[q as usize])
+    }
+
     /// All connections `p` can forward over: outgoing (ring + long) plus
     /// incoming (connections are bidirectional channels).
     pub fn connections_of(&self, p: u32) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.connections_of_into(p, &mut out);
-        out
+        self.connections(p).to_vec()
     }
 
     /// [`SelectNetwork::connections_of`] into a caller-owned buffer
-    /// (cleared first); the publish pipeline calls this once per BFS
-    /// expansion, so the steady path reuses one allocation.
+    /// (cleared first).
     #[hotpath]
     pub fn connections_of_into(&self, p: u32, out: &mut Vec<u32>) {
-        self.tables[p as usize].all_links_into(p, out);
-        for &q in self.tables[p as usize].incoming_links() {
+        out.clear();
+        out.extend_from_slice(self.connections(p));
+    }
+
+    /// [`SelectNetwork::connections_of`] as a borrowed row of the
+    /// connection index, building the index if a write dropped it. The
+    /// rebuild is O(n) per overlay epoch (a few ms at n = 6,000), paid by the
+    /// first reader after a gossip/probe round or a liveness toggle; every
+    /// other read is two offset loads.
+    #[inline]
+    pub(crate) fn connections(&self, p: u32) -> &[u32] {
+        let row = self
+            .connection_index
+            .get_or_init(|| self.build_connection_index())
+            .row(p);
+        #[cfg(debug_assertions)]
+        assert!(
+            self.row_is_fresh(p, row),
+            "stale connection index row of peer {p}"
+        );
+        row
+    }
+
+    /// The definition of a connection list, and its only producer: `p`'s
+    /// deduplicated outgoing links in ascending order, then the incoming
+    /// links not already among them in table order, offline peers removed.
+    fn merge_connections(&self, p: u32, out: &mut Vec<u32>) {
+        let table = &self.tables[p as usize];
+        table.all_links_into(p, out);
+        for &q in table.incoming_links() {
             if !out.contains(&q) {
                 out.push(q);
             }
         }
         out.retain(|&q| self.online[q as usize]);
+    }
+
+    fn build_connection_index(&self) -> ConnectionIndex {
+        let n = self.len();
+        let mut offsets = Vec::with_capacity(n + 1);
+        // Row lengths before deduplication and the liveness filter.
+        let bound = self
+            .tables
+            .iter()
+            .map(|t| 2 + t.long_links().len() + t.incoming_links().len());
+        let mut peers = Vec::with_capacity(bound.sum());
+        let mut row = Vec::new();
+        offsets.push(0);
+        for p in 0..n as u32 {
+            self.merge_connections(p, &mut row);
+            peers.extend_from_slice(&row);
+            offsets.push(peers.len() as u32);
+        }
+        ConnectionIndex { offsets, peers }
+    }
+
+    /// Whether `row` equals a fresh merge for `p` — the stale-index oracle
+    /// behind the debug assertion on every row read and the auditor's
+    /// `connection-index` invariant.
+    #[cfg(any(debug_assertions, feature = "audit"))]
+    fn row_is_fresh(&self, p: u32, row: &[u32]) -> bool {
+        thread_local! {
+            static FRESH: std::cell::RefCell<Vec<u32>> =
+                const { std::cell::RefCell::new(Vec::new()) };
+        }
+        FRESH.with(|fresh| {
+            let fresh = &mut *fresh.borrow_mut();
+            self.merge_connections(p, fresh);
+            row == fresh.as_slice()
+        })
+    }
+
+    /// The first peer whose row in the *held* index differs from a fresh
+    /// merge; `None` if all agree or no index is held (nothing can be stale).
+    /// After a round this catches a writer that failed to drop the index.
+    #[cfg(feature = "audit")]
+    pub(crate) fn first_stale_connection_row(&self) -> Option<u32> {
+        let index = self.connection_index.get()?;
+        (0..self.len() as u32).find(|&p| !self.row_is_fresh(p, index.row(p)))
     }
 
     /// Flat-edge slot of the directed social edge `(p, u)`, if `u` is a
@@ -338,6 +456,7 @@ impl SelectNetwork {
     /// handles.
     pub fn set_offline(&mut self, p: u32) {
         if self.online[p as usize] {
+            self.connection_index.take();
             self.online[p as usize] = false;
             self.strengths.set_alive(&self.graph, p, false);
             self.invalidate_link_caches_around(p);
@@ -357,6 +476,7 @@ impl SelectNetwork {
     /// Brings `p` back online at its last identifier.
     pub fn set_online(&mut self, p: u32) {
         if !self.online[p as usize] {
+            self.connection_index.take();
             self.online[p as usize] = true;
             self.strengths.set_alive(&self.graph, p, true);
             self.invalidate_link_caches_around(p);
@@ -407,6 +527,7 @@ impl SelectNetwork {
     /// the full pass, for bootstrap and rounds, where many peers move at
     /// once. A single liveness toggle re-stitches only the adjacent peers.
     pub(crate) fn refresh_short_links(&mut self) {
+        self.connection_index.take();
         for (_, p) in self.ring.iter() {
             Self::restitch(&self.ring, &mut self.tables, p);
         }
@@ -570,6 +691,83 @@ mod tests {
                 }
             }
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Whatever writes ran since the index was last built — or whether it
+        /// was built at all — `connections_of(p)` is the fresh merge, element
+        /// order included. Each step is (writer, peer, read afterwards?).
+        #[test]
+        fn equivalence_connection_index_matches_fresh_merge(
+            seed in 0u64..500,
+            steps in proptest::collection::vec(
+                (0u8..8, 0u32..24, proptest::prelude::any::<bool>()),
+                1..24,
+            ),
+        ) {
+            let g = BarabasiAlbert::with_closure(24, 3, 0.4).generate(seed);
+            let mut net = SelectNetwork::bootstrap(g, SelectConfig::default().with_seed(seed));
+            let mut fresh = Vec::new();
+            for (i, (writer, p, read)) in steps.into_iter().enumerate() {
+                match writer {
+                    0 | 1 => net.set_offline(p),
+                    2 | 3 => net.set_online(p),
+                    4 => {
+                        net.gossip_round();
+                    }
+                    5 => {
+                        net.partial_gossip_round(0.5);
+                    }
+                    6 => {
+                        net.probe_round();
+                    }
+                    _ => {
+                        // Two rounds: the second delivers the first's mail and
+                        // relinks from it.
+                        let mut protocol = crate::protocol::ProtocolNetwork::new(net);
+                        protocol.round();
+                        protocol.round();
+                        net = protocol.into_network();
+                    }
+                }
+                // Skipped reads leave the index absent across several writes.
+                if !read {
+                    continue;
+                }
+                for q in 0..net.len() as u32 {
+                    net.merge_connections(q, &mut fresh);
+                    proptest::prop_assert_eq!(
+                        &net.connections_of(q), &fresh, "step {}, peer {}", i, q
+                    );
+                }
+            }
+        }
+    }
+
+    /// A writer that bypasses `table_mut` leaves a stale row behind: the
+    /// debug assertion on the next read and the auditor both catch it.
+    #[test]
+    fn stale_connection_row_is_caught() {
+        let mut net = small_net(6);
+        net.converge(50);
+        let (p, u) = (0..100u32)
+            .find_map(|p| net.table(p).long_links().first().map(|&u| (p, u)))
+            .expect("converged overlay has long links");
+        assert!(net.connections_of(p).contains(&u));
+        net.tables[p as usize].remove_long(u);
+        net.tables[u as usize].remove_incoming(p);
+        #[cfg(feature = "audit")]
+        {
+            let err = net.audit_overlay().unwrap_err();
+            assert_eq!(err.invariant, "connection-index");
+        }
+        let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.connections_of(p)));
+        assert_eq!(read.is_err(), cfg!(debug_assertions));
+        // The sanctioned writer drops the index; reads are fresh again.
+        net.table_mut(p);
+        assert!(!net.connections_of(p).contains(&u));
     }
 
     #[test]

@@ -434,9 +434,10 @@ impl SelectNetwork {
 
     /// The dissemination pipeline over a borrowed scratch arena. Steady
     /// path (inactive fault plan): no per-publication allocations beyond
-    /// arena growth — BFS state, membership tests, frontiers, connection
-    /// lists and path construction all reuse the thread-local scratch, and
-    /// delivered paths land directly in the tree arena.
+    /// arena growth — BFS state, membership tests, frontiers and path
+    /// construction all reuse the thread-local scratch, connection lists are
+    /// borrowed rows of the network's index, and delivered paths land
+    /// directly in the tree arena.
     ///
     /// `obs` threads the optional observability hooks through the pipeline:
     /// `None` is the exact pre-observability behaviour (no extra work, no
@@ -462,19 +463,27 @@ impl SelectNetwork {
     /// `scr`. Pure with respect to overlay state; after it returns, the plan
     /// in `scr` stays valid until the next [`PublishScratch::begin`] — which
     /// is exactly what lets one traversal serve a whole same-source batch of
-    /// [`Self::deliver_planned`] calls.
+    /// [`Self::deliver_planned`] calls. Adjacency comes from the connection
+    /// index ([`SelectNetwork::connections`]): planning merges no lists.
     #[hotpath]
     fn plan_into_scratch(&self, scr: &mut PublishScratch, b: u32, subscribers: &[u32]) {
+        let missing = self.plan_social_flood(scr, b, subscribers);
+        if missing > 0 {
+            self.plan_bucket_bfs(scr, missing);
+        }
+    }
+
+    /// Stage 1: BFS over connections restricted to {b} ∪ subscribers — the
+    /// relay-free part of the tree. Depth is tracked from the publisher so
+    /// the hop budget bounds the *full* path, not a stage. Returns how many
+    /// subscribers it left without a parent.
+    #[hotpath]
+    fn plan_social_flood(&self, scr: &mut PublishScratch, b: u32, subscribers: &[u32]) -> usize {
         scr.begin(self.len());
         for &s in subscribers {
             scr.mark_subscriber(s);
         }
         let max_hops = self.cfg.max_route_hops;
-        let mut conn = std::mem::take(&mut scr.conn);
-
-        // Stage 1: BFS over connections restricted to {b} ∪ subscribers —
-        // the relay-free part of the tree. Depth is tracked from the
-        // publisher so the hop budget bounds the *full* path, not a stage.
         scr.set_parent(b, b, 0);
         scr.queue.push_back(b);
         while let Some(u) = scr.queue.pop_front() {
@@ -482,52 +491,62 @@ impl SelectNetwork {
             if d >= max_hops {
                 continue;
             }
-            self.connections_of_into(u, &mut conn);
-            for &v in &conn {
+            for &v in self.connections(u) {
                 if scr.is_subscriber(v) && !scr.has_parent(v) {
                     scr.set_parent(v, u, d + 1);
                     scr.queue.push_back(v);
                 }
             }
         }
+        subscribers.iter().filter(|&&s| !scr.has_parent(s)).count()
+    }
 
-        // Stage 2: every peer holding the message keeps forwarding (§III-E
-        // applies at every hop, not just at the publisher), so the residue
-        // is reached by a multi-source BFS from the already-reached set over
-        // the full connection graph; intermediates picked up here may be
-        // non-subscribers — the relay nodes. Expansion goes bucket-by-bucket
-        // in publisher-distance order, so stage-1 depth plus the stage-2
-        // extension can never exceed the hop budget combined.
-        let mut missing = subscribers.iter().filter(|&&s| !scr.has_parent(s)).count();
-        if missing > 0 {
-            scr.ensure_buckets(max_hops + 1);
-            for i in 0..scr.reached().len() {
-                let p = scr.reached()[i];
-                let d = scr.depth_of(p);
-                scr.buckets[d].push(p);
-            }
-            let mut d = 0usize;
-            while d < max_hops && missing > 0 {
-                let mut frontier = std::mem::take(&mut scr.buckets[d]);
-                frontier.sort_unstable(); // deterministic expansion order
-                for &u in &frontier {
-                    self.connections_of_into(u, &mut conn);
-                    for &v in &conn {
-                        if !scr.has_parent(v) {
-                            scr.set_parent(v, u, d + 1);
-                            scr.buckets[d + 1].push(v);
-                            if scr.is_subscriber(v) {
-                                missing -= 1;
+    /// Stage 2: every peer holding the message keeps forwarding (§III-E
+    /// applies at every hop, not just at the publisher), so the `missing`
+    /// subscribers are reached by a multi-source BFS from the already-reached
+    /// set over the full connection graph; intermediates picked up here may
+    /// be non-subscribers — the relay nodes. Expansion goes bucket-by-bucket
+    /// in publisher-distance order, so stage-1 depth plus the stage-2
+    /// extension can never exceed the hop budget combined.
+    ///
+    /// The level is abandoned the moment the last missing subscriber gets its
+    /// parent. Parents are first-come and never rewritten, so every
+    /// subscriber's chain is fixed by then; the rest of the level would only
+    /// parent peers at depth `d + 1` that no chain passes through, and no
+    /// deeper level would run. The plan read back by
+    /// [`Self::planned_path_into`] is therefore the exhaustive level's plan,
+    /// at on average half the cost of the last — largest — level.
+    #[hotpath]
+    fn plan_bucket_bfs(&self, scr: &mut PublishScratch, mut missing: usize) {
+        let max_hops = self.cfg.max_route_hops;
+        scr.ensure_buckets(max_hops + 1);
+        for i in 0..scr.reached().len() {
+            let p = scr.reached()[i];
+            let d = scr.depth_of(p);
+            scr.buckets[d].push(p);
+        }
+        let mut d = 0usize;
+        while d < max_hops && missing > 0 {
+            let mut frontier = std::mem::take(&mut scr.buckets[d]);
+            frontier.sort_unstable(); // deterministic expansion order
+            'level: for &u in &frontier {
+                for &v in self.connections(u) {
+                    if !scr.has_parent(v) {
+                        scr.set_parent(v, u, d + 1);
+                        scr.buckets[d + 1].push(v);
+                        if scr.is_subscriber(v) {
+                            missing -= 1;
+                            if missing == 0 {
+                                break 'level;
                             }
                         }
                     }
                 }
-                frontier.clear();
-                scr.buckets[d] = frontier; // hand the capacity back
-                d += 1;
             }
+            frontier.clear();
+            scr.buckets[d] = frontier; // hand the capacity back
+            d += 1;
         }
-        scr.conn = conn;
     }
 
     /// The delivery half of the pipeline: walks the BFS plan recorded in
@@ -1277,6 +1296,178 @@ mod tests {
             obs_seq.batch_sizes.count(),
             0,
             "plain publishes record no batch"
+        );
+    }
+
+    /// Where the exhaustive stage 2 parented its last missing subscriber:
+    /// how many peers the closing level parented in all, and the position of
+    /// that subscriber among them. `closing` is `None` when stage 2 ran out
+    /// of hop budget with a subscriber still missing.
+    #[derive(Debug, Default)]
+    struct Stage2Shape {
+        level_children: usize,
+        closing: Option<usize>,
+    }
+
+    impl SelectNetwork {
+        /// The planner as it was before the early exit: stage 2 copies out
+        /// a connection list per expansion and always finishes the level it
+        /// is in. (Each list is checked against a fresh merge by the debug
+        /// assertion in [`SelectNetwork::connections`].)
+        fn plan_reference(
+            &self,
+            scr: &mut PublishScratch,
+            b: u32,
+            subscribers: &[u32],
+        ) -> Option<Stage2Shape> {
+            let mut missing = self.plan_social_flood(scr, b, subscribers);
+            if missing == 0 {
+                return None;
+            }
+            let max_hops = self.cfg.max_route_hops;
+            let mut shape = Stage2Shape::default();
+            let mut conn = Vec::new();
+            scr.ensure_buckets(max_hops + 1);
+            for i in 0..scr.reached().len() {
+                let p = scr.reached()[i];
+                let d = scr.depth_of(p);
+                scr.buckets[d].push(p);
+            }
+            let mut d = 0usize;
+            while d < max_hops && missing > 0 {
+                let mut frontier = std::mem::take(&mut scr.buckets[d]);
+                frontier.sort_unstable();
+                shape.level_children = 0;
+                for &u in &frontier {
+                    self.connections_of_into(u, &mut conn);
+                    for &v in &conn {
+                        if !scr.has_parent(v) {
+                            scr.set_parent(v, u, d + 1);
+                            scr.buckets[d + 1].push(v);
+                            if scr.is_subscriber(v) {
+                                missing -= 1;
+                                if missing == 0 {
+                                    shape.closing = Some(shape.level_children);
+                                }
+                            }
+                            shape.level_children += 1;
+                        }
+                    }
+                }
+                frontier.clear();
+                scr.buckets[d] = frontier;
+                d += 1;
+            }
+            Some(shape)
+        }
+
+        /// One publication planned by [`Self::plan_reference`] and delivered
+        /// by the production delivery half.
+        fn publish_reference(
+            &self,
+            b: u32,
+            nonce: u64,
+            obs: Option<&mut Observer>,
+        ) -> (DisseminationReport, Option<Stage2Shape>) {
+            PUBLISH_SCRATCH.with(|cell| {
+                let scr = &mut *cell.borrow_mut();
+                let subs = self.online_friends(b);
+                let shape = self.plan_reference(scr, b, &subs);
+                (self.deliver_planned(scr, b, &subs, nonce, obs), shape)
+            })
+        }
+    }
+
+    fn journeys(obs: &Observer) -> Vec<String> {
+        let flight = obs.flight.as_ref().expect("tracing is on");
+        flight.journeys().map(|j| j.to_string()).collect()
+    }
+
+    /// Which stage-2 shapes a sweep of [`assert_matches_reference`] met.
+    #[derive(Debug, Default)]
+    struct Coverage {
+        stage2: usize,
+        closed_by_first_child: usize,
+        closed_by_last_child: usize,
+        unreachable: usize,
+    }
+
+    /// Every online publisher of `n`: `publish_at`, `publish_observed`
+    /// (journeys included) and `publish_batch_at` against the reference
+    /// planner.
+    fn assert_matches_reference(n: &SelectNetwork, ctx: &str, seen: &mut Coverage) {
+        for b in (0..n.len() as u32).filter(|&b| n.is_peer_online(b)) {
+            let nonce = 1_000 + b as u64;
+            let ctx = format!("{ctx}, publisher {b}");
+            let (want, shape) = n.publish_reference(b, nonce, None);
+            assert_reports_equal(&n.publish_at(b, nonce), &want, &ctx);
+            for (i, r) in n.publish_batch_at(b, nonce, 2).iter().enumerate() {
+                let (want, _) = n.publish_reference(b, nonce + i as u64, None);
+                assert_reports_equal(r, &want, &format!("{ctx}, batch slot {i}"));
+            }
+            let mut obs = Observer::for_peers(n.len()).with_tracing(512);
+            let mut obs_ref = Observer::for_peers(n.len()).with_tracing(512);
+            let got = n.publish_observed(b, nonce, &mut obs);
+            let (want, _) = n.publish_reference(b, nonce, Some(&mut obs_ref));
+            assert_reports_equal(&got, &want, &format!("{ctx}, observed"));
+            assert_eq!(obs.metrics, obs_ref.metrics, "{ctx}: metrics");
+            assert_eq!(journeys(&obs), journeys(&obs_ref), "{ctx}: journeys");
+
+            if let Some(shape) = shape {
+                seen.stage2 += 1;
+                match shape.closing {
+                    None => seen.unreachable += 1,
+                    Some(0) => seen.closed_by_first_child += 1,
+                    Some(i) if i + 1 == shape.level_children => seen.closed_by_last_child += 1,
+                    Some(_) => {}
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn early_exit_plans_match_the_exhaustive_reference() {
+        let mut seen = Coverage::default();
+        for seed in 30u64..36 {
+            let g = BarabasiAlbert::with_closure(150, 3, 0.3).generate(seed);
+            // A tight hop budget on half the overlays, so stage 2 runs out
+            // of levels with subscribers still missing.
+            let mut cfg = SelectConfig::default().with_seed(seed);
+            if seed % 2 == 1 {
+                cfg.max_route_hops = 2;
+            }
+            // Faults on a third: the retry machinery reads the same plan.
+            if seed % 3 == 1 {
+                cfg = cfg
+                    .with_fault_plan(
+                        osn_sim::FaultPlan::seeded(seed)
+                            .with_drop_prob(0.1)
+                            .with_crash_prob(0.03),
+                    )
+                    .with_retry_max(3);
+            }
+            let mut n = SelectNetwork::bootstrap(g, cfg);
+            // Stopped mid-convergence: few long links, deep stage-2 floods.
+            assert_matches_reference(&n, &format!("seed {seed}, bootstrap"), &mut seen);
+            for round in 1..=3 {
+                n.gossip_round();
+                assert_matches_reference(&n, &format!("seed {seed}, round {round}"), &mut seen);
+            }
+            // Under churn: a third of the peers gone, then one repair step.
+            for p in (0..n.len() as u32).filter(|p| (p + seed as u32) % 3 == 1) {
+                n.set_offline(p);
+            }
+            assert_matches_reference(&n, &format!("seed {seed}, churned"), &mut seen);
+            n.probe_round();
+            n.gossip_round();
+            assert_matches_reference(&n, &format!("seed {seed}, repaired"), &mut seen);
+        }
+        assert!(
+            seen.closed_by_first_child > 0
+                && seen.closed_by_last_child > 0
+                && seen.unreachable > 0
+                && seen.stage2 > 100,
+            "sweep missed a stage-2 shape: {seen:?}"
         );
     }
 

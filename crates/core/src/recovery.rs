@@ -77,13 +77,14 @@ impl SelectNetwork {
         // liveness check of the remote peer — pure reads).
         let net = &*self;
         engine.step_parallel(true, threads, |p, _mail, out| {
-            if !net.online[p as usize] {
+            if !net.is_peer_online(p) {
                 return;
             }
-            let probes: Vec<(u32, bool)> = net.tables[p as usize]
+            let probes: Vec<(u32, bool)> = net
+                .table(p)
                 .long_links()
                 .iter()
-                .map(|&u| (u, net.online[u as usize]))
+                .map(|&u| (u, net.is_peer_online(u)))
                 .collect();
             if !probes.is_empty() {
                 out.push((p, ProbeReport(probes)));
@@ -100,7 +101,7 @@ impl SelectNetwork {
         engine.step(false, |p, mail, _| {
             for ProbeReport(probes) in mail {
                 for (u, responded) in probes {
-                    if !self.tables[p as usize].long_links().contains(&u) {
+                    if !self.table(p).long_links().contains(&u) {
                         continue;
                     }
                     report.probes += 1;
@@ -120,26 +121,20 @@ impl SelectNetwork {
                     }
                     // Replace: prefer an online peer from the same LSH
                     // bucket, else any online friend not already linked.
-                    self.tables[p as usize].remove_long(u);
-                    self.tables[u as usize].remove_incoming(p);
+                    self.table_mut(p).remove_long(u);
+                    self.table_mut(u).remove_incoming(p);
                     match self.find_replacement(p, u) {
-                        Some(r) => {
-                            let bw_p = self.bandwidth[p as usize];
-                            let bandwidth = &self.bandwidth;
-                            match self.tables[r as usize]
-                                .offer_incoming(p, bw_p, |q| bandwidth[q as usize])
-                            {
-                                Admission::Accepted { evicted } => {
-                                    self.tables[p as usize].add_long(r);
-                                    if let Some(w) = evicted {
-                                        self.tables[w as usize].remove_long(r);
-                                        evicted_queue.push((w, r));
-                                    }
-                                    report.replaced += 1;
+                        Some(r) => match self.offer_incoming(r, p) {
+                            Admission::Accepted { evicted } => {
+                                self.table_mut(p).add_long(r);
+                                if let Some(w) = evicted {
+                                    self.table_mut(w).remove_long(r);
+                                    evicted_queue.push((w, r));
                                 }
-                                Admission::Rejected => report.dropped += 1,
+                                report.replaced += 1;
                             }
-                        }
+                            Admission::Rejected => report.dropped += 1,
+                        },
                         None => report.dropped += 1,
                     }
                 }
@@ -155,28 +150,23 @@ impl SelectNetwork {
         let mut cascade_budget = 4 * self.len();
         while let Some((w, lost)) = evicted_queue.pop() {
             report.evictions += 1;
-            if cascade_budget == 0 || !self.online[w as usize] {
+            if cascade_budget == 0 || !self.is_peer_online(w) {
                 report.eviction_losses += 1;
                 continue;
             }
             cascade_budget -= 1;
             match self.find_replacement(w, lost) {
-                Some(r) => {
-                    let bw_w = self.bandwidth[w as usize];
-                    let bandwidth = &self.bandwidth;
-                    match self.tables[r as usize].offer_incoming(w, bw_w, |q| bandwidth[q as usize])
-                    {
-                        Admission::Accepted { evicted } => {
-                            self.tables[w as usize].add_long(r);
-                            if let Some(w2) = evicted {
-                                self.tables[w2 as usize].remove_long(r);
-                                evicted_queue.push((w2, r));
-                            }
-                            report.evicted_relinked += 1;
+                Some(r) => match self.offer_incoming(r, w) {
+                    Admission::Accepted { evicted } => {
+                        self.table_mut(w).add_long(r);
+                        if let Some(w2) = evicted {
+                            self.table_mut(w2).remove_long(r);
+                            evicted_queue.push((w2, r));
                         }
-                        Admission::Rejected => report.eviction_losses += 1,
+                        report.evicted_relinked += 1;
                     }
-                }
+                    Admission::Rejected => report.eviction_losses += 1,
+                },
                 None => report.eviction_losses += 1,
             }
         }
@@ -190,8 +180,8 @@ impl SelectNetwork {
     /// online peers first (§III-F), then the strongest online friend not yet
     /// linked.
     fn find_replacement(&self, p: u32, dead: u32) -> Option<u32> {
-        let table = &self.tables[p as usize];
-        let viable = |q: u32| q != p && q != dead && self.online[q as usize] && !table.has_link(q);
+        let table = self.table(p);
+        let viable = |q: u32| q != p && q != dead && self.is_peer_online(q) && !table.has_link(q);
         self.bucket_peers_of(p, dead)
             .find(|&q| viable(q))
             .or_else(|| {

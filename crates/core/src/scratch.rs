@@ -40,8 +40,6 @@ pub(crate) struct PublishScratch {
     pub buckets: Vec<Vec<u32>>,
     /// Stage-1 BFS queue.
     pub queue: VecDeque<u32>,
-    /// Connection-list buffer (`connections_of_into`).
-    pub conn: Vec<u32>,
     /// Path-construction buffer.
     pub path: Vec<u32>,
     /// Subscriber-list buffer for `publish_at`.

@@ -389,7 +389,7 @@ impl SelectNetwork {
 
         for &p in &online {
             let friends = self.online_friends(p);
-            let conns = self.connections_of(p);
+            let conns = self.connections(p);
             total_conns += conns.len() as u64;
             max_conns = max_conns.max(conns.len());
             for &f in &friends {

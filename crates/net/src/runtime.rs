@@ -35,7 +35,7 @@ use osn_obs::trace::{span_id, SpanRecord};
 use osn_sim::{FaultPlan, FrameFate};
 use select_core::pubsub::RoutingTree;
 use select_core::wire::{children_for, TraceContext, WireMsg};
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -61,9 +61,15 @@ pub trait Peers: Clone + Send + 'static {
 
     /// Carries `frame` to peer `to`. Returns `false` if there is no such
     /// peer or it is no longer reachable. `stats` is for what only the
-    /// family can see (TCP's one-shot connects); frame counting is the
+    /// family can see (TCP's session connects); frame counting is the
     /// caller's.
     fn carry(&self, to: u32, frame: &Self::Frame, stats: &TransportStats) -> bool;
+
+    /// Releases whatever the table holds open towards the peers, once they
+    /// have all exited. Default: nothing to release. TCP drops its pooled
+    /// streams here — a write into a dead peer's socket buffer would still
+    /// succeed, and a stopped network must refuse.
+    fn close(&self) {}
 }
 
 /// One peer's endpoint in a link family.
@@ -105,7 +111,7 @@ pub trait Link: Send + 'static {
 /// [`ThreadedNetwork`], [`crate::ThrottledNetwork`] and
 /// [`crate::SocketNetwork`].
 pub struct PeerNetwork<L: Link> {
-    peers: L::Peers,
+    pub(crate) peers: L::Peers,
     /// Peer threads, yielding the spans they recorded, plus the helper
     /// threads a family parked here (TCP's control readers, yielding none).
     pub(crate) handles: Vec<JoinHandle<Vec<SpanRecord>>>,
@@ -246,6 +252,7 @@ impl<L: Link> PeerNetwork<L> {
                 self.spans.extend(spans);
             }
         }
+        self.peers.close();
     }
 }
 
@@ -352,6 +359,38 @@ fn delivery_span(ctx: TraceContext, peer: u32, attempt: u32, epoch: Instant) -> 
     }
 }
 
+/// How many of the publications it handled last a peer remembers for
+/// duplicate suppression. Duplicates (diamond trees, retransmissions) arrive
+/// within one publication's ack windows, never hundreds of publications
+/// later; forgetting one that old costs at most a stale ack, which the
+/// driver already ignores.
+const DEDUP_WINDOW: usize = 256;
+
+/// The publication ids a peer handled most recently: a set for the lookup,
+/// a FIFO beside it so the set stays at [`DEDUP_WINDOW`] entries however
+/// many publications the peer lives through.
+#[derive(Default)]
+struct RecentPubs {
+    seen: HashSet<u64>,
+    order: VecDeque<u64>,
+}
+
+impl RecentPubs {
+    /// Records `pub_id`; `false` if it is a duplicate inside the window.
+    fn first_sight(&mut self, pub_id: u64) -> bool {
+        if !self.seen.insert(pub_id) {
+            return false;
+        }
+        if self.order.len() == DEDUP_WINDOW {
+            if let Some(oldest) = self.order.pop_front() {
+                self.seen.remove(&oldest);
+            }
+        }
+        self.order.push_back(pub_id);
+        true
+    }
+}
+
 fn nap(d: Duration) {
     if !d.is_zero() {
         std::thread::sleep(d);
@@ -375,7 +414,7 @@ fn peer_loop<L: Link>(
     }
     // Publications this peer already handled: duplicate forwards (diamond
     // trees, retransmissions) deliver once.
-    let mut seen: HashSet<u64> = HashSet::new();
+    let mut recent = RecentPubs::default();
     while let Some(inbound) = link.recv() {
         let Ok(msg) = inbound else {
             stats.note_garbage_frame();
@@ -392,7 +431,7 @@ fn peer_loop<L: Link>(
                 payload,
                 trace,
             } => {
-                if !seen.insert(pub_id) {
+                if !recent.first_sight(pub_id) {
                     continue;
                 }
                 // First delivery of a traced publication: echo the delivery
@@ -680,6 +719,24 @@ mod tests {
         assert_eq!(r.delivered_to, HashSet::from([1, 2, 3, 4]));
         assert_eq!(r.drops_injected, 0);
         net.shutdown();
+    }
+
+    #[test]
+    fn dedup_remembers_a_bounded_window_of_publications() {
+        // One peer, 2,000 publications: its dedup state stops growing at
+        // the window, so memory is flat in publications handled.
+        let mut recent = RecentPubs::default();
+        for pub_id in 1..=2_000u64 {
+            assert!(recent.first_sight(pub_id));
+        }
+        assert_eq!(recent.seen.len(), DEDUP_WINDOW);
+        assert_eq!(recent.order.len(), DEDUP_WINDOW);
+        // A duplicate inside the window is refused — `peer_loop` then neither
+        // acks nor forwards it (`diamond_tree_delivers_once`).
+        assert!(!recent.first_sight(2_000));
+        assert!(!recent.first_sight(2_001 - DEDUP_WINDOW as u64));
+        assert!(recent.first_sight(2_000 - DEDUP_WINDOW as u64), "aged out");
+        assert_eq!(recent.seen.len(), DEDUP_WINDOW);
     }
 
     #[test]

@@ -10,11 +10,23 @@
 //!   away. The peer writes its [`WireMsg::Join`], acks and probe replies
 //!   there; one reader thread per stream decodes them into the event
 //!   channel that [`crate::transport::publish_over`] consumes.
-//! * **Data plane** — forwards and driver injections are one-shot
-//!   connections: the frame is encoded once per fan-out, then connect to
-//!   the child's listener, write, close. Peers accept serially and read
-//!   each connection to EOF; the dissemination tree is acyclic, so blocking
-//!   forwards cannot deadlock.
+//! * **Data plane** — one persistent stream **per destination peer**, held
+//!   in the address table every sender shares ([`TcpPeers`]): opened by
+//!   whoever first has a frame for that peer, then reused by the driver's
+//!   injections and every peer's forwards alike. A frame is encoded once
+//!   per fan-out and written whole under the slot's lock, so frames of
+//!   different senders never interleave; a failed write reconnects and
+//!   retries once. The receiver is unchanged — it accepts serially and
+//!   reads each connection to EOF — and now simply stays on its one inbound
+//!   stream until shutdown or a sender-side error ends it. The
+//!   dissemination tree is acyclic, so blocking forwards cannot deadlock.
+//!
+//!   Sessions are per destination, not per edge (ROADMAP 1a), because
+//!   per-edge sessions would have `recv` multiplex many inbound streams,
+//!   and safe std cannot: the crate is `#![forbid(unsafe_code)]`, there is
+//!   no `mio`/`polling` in-tree, and the box is offline. One shared stream
+//!   per destination needs no readiness primitive and still removes the
+//!   connect from every frame.
 //!
 //! The shared loop applies the [`osn_sim::FaultPlan`] **at the link
 //! boundary**, exactly as in-process: a dropped frame is simply never
@@ -46,11 +58,19 @@ use osn_sim::FaultPlan;
 use select_core::wire::WireMsg;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-/// The TCP family's address table: every peer's loopback listener.
+/// One destination: its loopback listener and the pooled stream to it.
+struct Slot {
+    addr: SocketAddr,
+    /// The data-plane session every sender shares; `None` until first use,
+    /// after a failed write, and once the network has shut down.
+    session: Mutex<Option<TcpStream>>,
+}
+
+/// The TCP family's address table: one slot per peer.
 #[derive(Clone)]
-pub struct TcpPeers(Arc<Vec<SocketAddr>>);
+pub struct TcpPeers(Arc<Vec<Slot>>);
 
 impl Peers for TcpPeers {
     /// Encoded once; every surviving child gets the same bytes.
@@ -61,7 +81,7 @@ impl Peers for TcpPeers {
     }
 
     fn addr(&self, peer: u32) -> Option<PeerAddr> {
-        self.0.get(peer as usize).map(|&a| PeerAddr::Tcp(a))
+        self.0.get(peer as usize).map(|s| PeerAddr::Tcp(s.addr))
     }
 
     fn frame(msg: WireMsg) -> Option<Vec<u8>> {
@@ -69,15 +89,42 @@ impl Peers for TcpPeers {
     }
 
     fn carry(&self, to: u32, frame: &Vec<u8>, stats: &TransportStats) -> bool {
-        let Some(&addr) = self.0.get(to as usize) else {
+        let Some(slot) = self.0.get(to as usize) else {
             return false;
         };
-        let Ok(mut stream) = TcpStream::connect(addr) else {
+        // Held across the write on purpose: the lock is what keeps one
+        // sender's frame contiguous on the shared stream. Poisoned means a
+        // sender panicked mid-frame and the stream may hold half of it: the
+        // peer counts as unreachable.
+        let Ok(mut session) = slot.session.lock() else {
             return false;
         };
-        let _ = stream.set_nodelay(true);
-        stats.note_reconnect();
-        stream.write_all(frame).is_ok()
+        // Second pass: the pooled stream had died (peer reset it, or an
+        // earlier sender's write failed half-way) — reconnect, retry once.
+        for _ in 0..2 {
+            if session.is_none() {
+                let Ok(stream) = TcpStream::connect(slot.addr) else {
+                    return false; // no listener: the peer has exited
+                };
+                let _ = stream.set_nodelay(true);
+                stats.note_reconnect();
+                *session = Some(stream);
+            }
+            // selint: allow(lock-order, whole frames are written under the slot lock so senders sharing the stream cannot interleave; the tree is acyclic, so the write cannot wait on this lock)
+            if session.as_mut().is_some_and(|s| s.write_all(frame).is_ok()) {
+                return true;
+            }
+            *session = None;
+        }
+        false
+    }
+
+    fn close(&self) {
+        for slot in self.0.iter() {
+            if let Ok(mut session) = slot.session.lock() {
+                *session = None;
+            }
+        }
     }
 }
 
@@ -85,7 +132,8 @@ impl Peers for TcpPeers {
 /// time) plus the persistent control stream to the driver.
 pub struct TcpLink {
     listener: TcpListener,
-    /// The data-plane connection currently being read to EOF.
+    /// The data-plane connection currently being read to EOF — in steady
+    /// state the one pooled session all senders share.
     conn: Option<TcpStream>,
     control: TcpStream,
 }
@@ -142,11 +190,16 @@ impl SocketNetwork {
         let listeners = (0..n)
             .map(|_| TcpListener::bind(("127.0.0.1", 0)))
             .collect::<io::Result<Vec<_>>>()?;
-        let addrs = listeners
+        let slots = listeners
             .iter()
-            .map(TcpListener::local_addr)
+            .map(|l| {
+                Ok(Slot {
+                    addr: l.local_addr()?,
+                    session: Mutex::new(None),
+                })
+            })
             .collect::<io::Result<Vec<_>>>()?;
-        let peers = TcpPeers(Arc::new(addrs));
+        let peers = TcpPeers(Arc::new(slots));
         let (event_tx, events) = unbounded();
         let open = |listener: TcpListener, net: &mut Self| -> io::Result<TcpLink> {
             // Connect and accept this peer's control stream back to back,
@@ -254,6 +307,52 @@ mod tests {
         let snap = net.stats().snapshot();
         assert_eq!(snap.garbage_frames, 2, "{snap:?}");
         assert_eq!(snap.codec_error_conns, 2, "{snap:?}");
+    }
+
+    #[test]
+    fn reset_session_is_reconnected_and_the_publication_delivers() {
+        let mut net = SocketNetwork::spawn(3).unwrap();
+        let t = tree(0, vec![vec![0, 1, 2]]);
+        let r = net.publish(&t, Bytes::from_static(b"a"), Duration::from_secs(10));
+        assert_eq!(r.delivered_to, HashSet::from([1, 2]));
+        assert_eq!(net.stats().snapshot().reconnects, 3, "one session each");
+        // Kill peer 1's pooled session under the senders' feet.
+        let session = net.peers.0[1].session.lock().unwrap();
+        let stream = session.as_ref().expect("peer 1 has a session");
+        stream.shutdown(std::net::Shutdown::Both).unwrap();
+        drop(session);
+        // 0 → 1 fails its write, reconnects and retries; nothing is lost
+        // and only that one session is re-established.
+        let r = net.publish(&t, Bytes::from_static(b"b"), Duration::from_secs(10));
+        assert_eq!(r.delivered_to, HashSet::from([1, 2]));
+        assert_eq!(r.retries, 0, "the retry is the link's, not the driver's");
+        assert_eq!(net.stats().snapshot().reconnects, 4);
+        net.shutdown();
+    }
+
+    #[test]
+    fn hostile_connection_after_the_session_exists_is_never_served() {
+        let mut net = SocketNetwork::spawn(3).unwrap();
+        let t = tree(0, vec![vec![0, 1, 2]]);
+        let r = net.publish(&t, Bytes::from_static(b"a"), Duration::from_secs(10));
+        assert_eq!(r.delivered_to, HashSet::from([1, 2]));
+        // Peer 1 now reads its one pooled session to EOF, so a stranger's
+        // connection waits in the listener's backlog for good: its garbage
+        // is never read, never counted, and disturbs no publication.
+        let Some(PeerAddr::Tcp(addr)) = net.peer_addr(1) else {
+            panic!("peer 1 must have a TCP address");
+        };
+        let mut hostile = TcpStream::connect(addr).unwrap();
+        hostile
+            .write_all(&[8, 0, 0, 0, 0xDE, 0xAD, 0xBE, 0xEF, 1, 2, 3, 4])
+            .unwrap();
+        let r = net.publish(&t, Bytes::from_static(b"b"), Duration::from_secs(10));
+        assert_eq!(r.delivered_to, HashSet::from([1, 2]));
+        net.shutdown();
+        let snap = net.stats().snapshot();
+        assert_eq!((snap.garbage_frames, snap.codec_error_conns), (0, 0));
+        assert_eq!(snap.reconnects, 3, "no session was disturbed");
+        drop(hostile);
     }
 
     #[test]

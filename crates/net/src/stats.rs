@@ -83,9 +83,9 @@ impl TransportStats {
         self.ack_window_expiries.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One fresh connection where a session could have been reused — the
-    /// socket runtime's one-shot data-plane connects (ROADMAP item 3's
-    /// open cost, now measured). Always 0 in-process.
+    /// One data-plane connection opened by the socket runtime: the first
+    /// frame to a destination, or a session re-established after a failed
+    /// write. Always 0 in-process.
     pub fn note_reconnect(&self) {
         self.reconnects.fetch_add(1, Ordering::Relaxed);
     }
@@ -140,7 +140,8 @@ pub struct StatsSnapshot {
     pub retransmissions: u64,
     /// Ack windows that closed with unreached subscribers.
     pub ack_window_expiries: u64,
-    /// One-shot data-plane connections opened.
+    /// Data-plane connections opened (first use of a destination plus
+    /// re-established sessions).
     pub reconnects: u64,
     /// Frames that failed to decode.
     pub garbage_frames: u64,
