@@ -55,9 +55,12 @@ cargo test -q --offline --test churn_failure_injection --test properties
 echo "==> golden-state pin (flattened storage must stay bit-identical)"
 cargo test -q --offline --test golden_state --test parallel_determinism
 
-echo "==> incremental-vs-rebuild equivalence (delta LSH/strength state, connection index,"
-echo "    batched publish, stage-2 early exit vs the exhaustive reference planner)"
+echo "==> incremental-vs-rebuild equivalence (delta LSH/strength state, link-cache stamp"
+echo "    rule sound and tight, admission floor, connection index, batched publish,"
+echo "    stage-2 early exit vs the exhaustive reference planner)"
 cargo test -q --offline -p select-core equivalence
+cargo test -q --offline -p select-core recomputation_is_confined_to_changed_inputs
+cargo test -q --offline -p select-core incoming_floor_matches_the_recomputed_minimum
 cargo test -q --offline -p select-core batched_publish
 cargo test -q --offline -p select-core early_exit
 cargo test -q --offline --test golden_state batched

@@ -88,7 +88,7 @@ pub struct ScaleGate {
 
 /// See [`ScaleGate`].
 pub const FACEBOOK_GATE: ScaleGate = ScaleGate {
-    max_converge_wall_ms: 180_000.0,
+    max_converge_wall_ms: 30_000.0,
     max_bytes_per_peer: 8_192.0,
 };
 

@@ -29,6 +29,11 @@
 //! * **connection-index** — if a connection index is held, every row equals
 //!   a fresh merge of that peer's tables and liveness: the writers of the
 //!   round just audited all dropped it.
+//! * **incoming-floor** — every peer's stored admission floor is the lowest
+//!   bandwidth in its full incoming set (−∞ while the set has room).
+//! * **link-cache** — every link cache the stamp rule calls valid, and the
+//!   bucket slots stored with it, equal a from-scratch Algorithm 5 run: no
+//!   writer of a proposal's inputs forgot its stamp.
 //!
 //! The auditor is read-only and O(n·(deg+K²)) per call, which is why it sits
 //! behind the `audit` feature instead of running unconditionally.
@@ -115,6 +120,15 @@ impl SelectNetwork {
                 Some(p),
                 None,
                 "held index row differs from a fresh merge (a writer did not drop the index)"
+            );
+        }
+
+        if let Some(u) = self.first_stale_incoming_floor() {
+            violated!(
+                "incoming-floor",
+                Some(u),
+                None,
+                "stored admission floor differs from the recomputed one"
             );
         }
 
@@ -251,6 +265,17 @@ impl SelectNetwork {
             }
         }
 
+        if self.cfg.use_lsh_picker && self.link_cache_valid(p) {
+            if let Some(what) = self.link_cache_divergence(p) {
+                violated!(
+                    "link-cache",
+                    Some(p),
+                    None,
+                    "{what} diverged from the rebuild (a writer did not stamp)"
+                );
+            }
+        }
+
         Ok(())
     }
 
@@ -291,7 +316,7 @@ mod tests {
         let stranger = (0..net.len() as u32)
             .find(|&q| q != p && net.edge_slot(p, q).is_none())
             .expect("some non-friend exists");
-        net.table_mut(p).add_long(stranger);
+        net.add_long(p, stranger);
         let err = net.audit_overlay().unwrap_err();
         assert_eq!(err.invariant, "long-degree");
         assert_eq!(err.peer, Some(p));
@@ -305,7 +330,7 @@ mod tests {
         let (p, u) = (0..net.len() as u32)
             .find_map(|p| net.table(p).long_links().first().map(|&u| (p, u)))
             .expect("converged overlay has long links");
-        net.table_mut(u).remove_incoming(p);
+        net.remove_incoming(u, p);
         let err = net.audit_overlay().unwrap_err();
         assert_eq!(err.invariant, "link-symmetry");
     }

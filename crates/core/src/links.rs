@@ -8,6 +8,7 @@
 //! better bandwidth (Algorithm 6).
 
 use crate::bitmaps::{coverage, friendship_bitmap};
+use crate::network::NO_BUCKET;
 use osn_lsh::{BitSampling, Bitmap, LshFamily};
 use std::cmp::Ordering;
 
@@ -38,7 +39,7 @@ pub fn picker(members: &[LinkCandidate]) -> u32 {
 
 /// The two best candidates offered so far under [`picker`]'s ranking — all
 /// the runner-up rule needs, kept in one pass instead of a full sort.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 struct TopTwo {
     top: Option<LinkCandidate>,
     runner_up: Option<LinkCandidate>,
@@ -109,20 +110,58 @@ pub fn create_links(
     links_of: impl Fn(u32) -> Vec<u32>,
     bandwidth_of: impl Fn(u32) -> f64,
 ) -> LinkSelection {
-    create_links_from_bitmaps(
+    let mut scratch = SelectionScratch::default();
+    let targets = create_links_from_bitmaps(
         neighbourhood,
         k,
         lsh_samples,
         lsh_seed,
         |j, bm| *bm = friendship_bitmap(neighbourhood, &links_of(neighbourhood[j])),
         bandwidth_of,
-    )
+        &mut scratch,
+    );
+    let mut buckets = Vec::new();
+    if !targets.is_empty() {
+        buckets.resize(k, Vec::new());
+        for (&u, &b) in neighbourhood.iter().zip(&scratch.bucket_of) {
+            buckets[b as usize].push(u);
+        }
+    }
+    LinkSelection { targets, buckets }
+}
+
+/// Reusable buffers of [`create_links_from_bitmaps`], so a caller running it
+/// once per peer per round (a gossip shard) allocates only the result.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SelectionScratch {
+    family: BitSampling,
+    best: Vec<TopTwo>,
+    bm: Bitmap,
+    /// Output: the bucket id of each neighbourhood member, index-aligned
+    /// with the neighbourhood ([`NO_BUCKET`] if nothing was selected).
+    pub bucket_of: Vec<u16>,
+}
+
+impl SelectionScratch {
+    /// The last selection's bucket ids spread over the owner's whole CSR
+    /// neighbour row, as `SelectNetwork::store_buckets` takes them:
+    /// `in_neighbourhood` says, slot by slot, whether that friend was in the
+    /// neighbourhood; the others read [`NO_BUCKET`].
+    pub(crate) fn row_buckets(&self, in_neighbourhood: impl Iterator<Item = bool>) -> Vec<u16> {
+        let mut ids = self.bucket_of.iter();
+        let mut next = || *ids.next().expect("one bucket id per neighbourhood member");
+        in_neighbourhood
+            .map(|member| if member { next() } else { NO_BUCKET })
+            // selint: allow(hotpath-alloc, the proposal's second result — one allocation per recomputed proposal, none per friend)
+            .collect()
+    }
 }
 
 /// The Algorithm 5 core behind [`create_links`]: `fill_bitmap(j, bm)` writes
 /// the friendship bitmap of `neighbourhood[j]` into one `|C_p|`-bit buffer
 /// that is reused for every friend, so a caller holding word-packed rows
 /// (the gossip round's triangle matrix) builds no per-friend link set.
+/// Returns the targets; the bucket assignment is left in `scratch.bucket_of`.
 pub(crate) fn create_links_from_bitmaps(
     neighbourhood: &[u32],
     k: usize,
@@ -130,38 +169,37 @@ pub(crate) fn create_links_from_bitmaps(
     lsh_seed: u64,
     mut fill_bitmap: impl FnMut(usize, &mut Bitmap),
     bandwidth_of: impl Fn(u32) -> f64,
-) -> LinkSelection {
+    scratch: &mut SelectionScratch,
+) -> Vec<u32> {
     debug_assert!(
         neighbourhood.windows(2).all(|w| w[0] < w[1]),
         "create_links neighbourhood must be sorted ascending"
     );
-    if neighbourhood.is_empty() || k == 0 {
-        return LinkSelection::default();
-    }
     let dim = neighbourhood.len();
-    let family = BitSampling::new(dim, k, lsh_samples.max(1), lsh_seed);
-    let mut selection = LinkSelection {
-        targets: Vec::with_capacity(k),
-        buckets: vec![Vec::new(); k],
-    };
-    // Friends are distinct and visited in ascending order, so buckets need
-    // no dedup and list their members ascending.
-    let mut best = vec![TopTwo::default(); k];
-    let mut bm = Bitmap::zeros(dim);
+    scratch.bucket_of.clear();
+    if dim == 0 || k == 0 {
+        scratch.bucket_of.resize(dim, NO_BUCKET);
+        return Vec::new();
+    }
+    debug_assert!(k < NO_BUCKET as usize, "bucket id overflow");
+    scratch.family.reseed(dim, k, lsh_samples.max(1), lsh_seed);
+    scratch.best.clear();
+    scratch.best.resize(k, TopTwo::default());
+    scratch.bm.reset(dim);
     for (j, &u) in neighbourhood.iter().enumerate() {
-        fill_bitmap(j, &mut bm);
-        let b = family.bucket_of(&bm);
-        selection.buckets[b].push(u);
-        best[b].offer(LinkCandidate {
+        fill_bitmap(j, &mut scratch.bm);
+        let b = scratch.family.bucket_of(&scratch.bm);
+        scratch.bucket_of.push(b as u16);
+        scratch.best[b].offer(LinkCandidate {
             peer: u,
-            coverage: coverage(&bm),
+            coverage: coverage(&scratch.bm),
             bandwidth: bandwidth_of(u),
         });
     }
-    selection
-        .targets
-        .extend(best.iter().filter_map(TopTwo::choice));
-    selection
+    // Sized for the gossip caller, which appends every other friend.
+    let mut targets = Vec::with_capacity(dim);
+    targets.extend(scratch.best.iter().filter_map(TopTwo::choice));
+    targets
 }
 
 #[cfg(test)]

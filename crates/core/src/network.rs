@@ -21,19 +21,14 @@ use std::sync::{Arc, OnceLock};
 /// any LSH bucket of the current selection.
 pub(crate) const NO_BUCKET: u16 = u16::MAX;
 
-/// Cached LSH link-target proposal for one peer, keyed by the wrapping sum
-/// of its online friends' [`RoutingTable::version`] counters. Between churn
-/// events the friend set is fixed and every component of the sum is
-/// monotone, so sum equality ⟺ no input of `create_links` changed — the
-/// cached targets are then bit-identical to a fresh recomputation. Churn
-/// push-invalidates explicitly ([`SelectNetwork::invalidate_link_caches_around`]),
-/// which is what pins the friend set between events.
+/// Cached LSH link-target proposal for one peer `p`, valid while
+/// `round > link_dirty[p]` ([`SelectNetwork::link_cache_valid`]): every
+/// writer of something the proposal reads stamps `link_dirty`, so a valid
+/// cache is bit-identical to a fresh recomputation.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct LinkCache {
-    /// Whether `targets`/`deps_sum` hold a usable snapshot.
-    pub valid: bool,
-    /// Dependency fingerprint the snapshot was computed under.
-    pub deps_sum: u64,
+    /// Gossip round whose snapshot `targets` was computed from (0 = none).
+    pub round: u64,
     /// The proposed long-link targets, in proposal order.
     pub targets: Vec<u32>,
     /// Telemetry carried with the snapshot so reuse reports the same
@@ -96,12 +91,16 @@ pub struct SelectNetwork {
     /// Last known identifier of every peer (kept across churn).
     pub(crate) positions: Vec<RingId>,
     /// Private with `online` and `connection_index`: every write to a table or a
-    /// liveness flag must drop the connection index, so writers outside this
-    /// module go through [`SelectNetwork::table_mut`] /
-    /// [`SelectNetwork::offer_incoming`] and the compiler enforces it.
+    /// liveness flag must drop the connection index (and an outgoing-view
+    /// write must stamp `link_dirty`), so writers outside this module go
+    /// through the `SelectNetwork` link methods and the compiler enforces it.
     tables: Vec<RoutingTable>,
     pub(crate) bandwidth: Vec<f64>,
     online: Vec<bool>,
+    /// Admission floor per peer: the lowest bandwidth among its incoming
+    /// links while that set is full, −∞ while it has room. An offer below
+    /// it is rejected without scanning the set.
+    incoming_floor: Vec<f64>,
     /// Lazily built snapshot of all connection lists; see
     /// [`ConnectionIndex`]. Empty between a write and the next read.
     connection_index: OnceLock<ConnectionIndex>,
@@ -118,6 +117,14 @@ pub struct SelectNetwork {
     pub(crate) link_buckets: Vec<u16>,
     /// Per-peer cached link proposals; see [`LinkCache`].
     pub(crate) link_cache: Vec<LinkCache>,
+    /// Last `round_counter` value at which an input of the peer's link
+    /// proposal moved: its online friend set (churn), or a friend `u`'s
+    /// outgoing view gaining or losing a *non-friend* `w` inside `C_p` (a
+    /// social friend's bit is set by the triangle row whatever `u` links,
+    /// which is why long links, opened between friends only, never stamp).
+    link_dirty: Vec<u64>,
+    /// `reconcile_links`' current/desired lists, reused from peer to peer.
+    pub(crate) link_bufs: [Vec<u32>; 2],
     /// Rounds the most recent [`SelectNetwork::converge`] call took.
     pub(crate) last_convergence: Option<usize>,
     /// Lifetime gossip-round counter; salts the per-peer RNG streams of the
@@ -202,11 +209,14 @@ impl SelectNetwork {
             tables: (0..n).map(|_| RoutingTable::new(k)).collect(),
             bandwidth,
             online: vec![false; n],
+            incoming_floor: vec![f64::NEG_INFINITY; n], // K ≥ 1: every set has room
             connection_index: OnceLock::new(),
             strengths,
             cma: vec![Cma::default(); edges],
             link_buckets: vec![NO_BUCKET; edges],
             link_cache: vec![LinkCache::default(); n],
+            link_dirty: vec![0; n],
+            link_bufs: Default::default(),
             last_convergence: None,
             round_counter: 0,
             link_arenas: osn_sim::ShardArenas::new(),
@@ -299,21 +309,79 @@ impl SelectNetwork {
         );
     }
 
-    /// Mutable access to `p`'s routing table for the protocol steps in
-    /// sibling modules. Drops the connection index: the caller is about to
-    /// change what some row holds.
-    #[inline]
-    pub(crate) fn table_mut(&mut self, p: u32) -> &mut RoutingTable {
+    /// Opens the long link `p → u`. With [`Self::remove_long`] and the ring
+    /// pass the only writers of an outgoing view; each owns its stamp.
+    pub(crate) fn add_long(&mut self, p: u32, u: u32) -> bool {
         self.connection_index.take();
-        &mut self.tables[p as usize]
+        let added = self.tables[p as usize].add_long(u);
+        if added {
+            self.stamp(p, u);
+        }
+        added
+    }
+
+    /// Closes the long link `p → u`; true if it was open.
+    pub(crate) fn remove_long(&mut self, p: u32, u: u32) -> bool {
+        self.connection_index.take();
+        let removed = self.tables[p as usize].remove_long(u);
+        if removed {
+            self.stamp(p, u);
+        }
+        removed
+    }
+
+    /// `u`'s outgoing view gained or lost `w`. Unless they are social
+    /// friends, that flips `u`'s bitmap bit for `w` in the proposal of every
+    /// common friend `p` (one sorted merge of the two CSR rows).
+    fn stamp(&mut self, u: u32, w: u32) {
+        let (u, w) = (UserId(u), UserId(w));
+        if u != w && !self.graph.has_edge(u, w) {
+            let (dirty, round) = (&mut self.link_dirty, self.round_counter);
+            self.graph
+                .for_each_common_neighbor(u, w, |p| dirty[p.index()] = round);
+        }
+    }
+
+    /// Whether `p`'s cached proposal still equals a recomputation. Strict:
+    /// a stamp made earlier in an apply pass must outlive the cache refresh
+    /// of the same round, whose snapshot predates it.
+    #[inline]
+    pub(crate) fn link_cache_valid(&self, p: u32) -> bool {
+        self.link_cache[p as usize].round > self.link_dirty[p as usize]
     }
 
     /// `u`'s incoming-admission decision on a link offered by `p` (§III-D),
     /// with every peer's upload bandwidth as the eviction ranking.
     pub(crate) fn offer_incoming(&mut self, u: u32, p: u32) -> Admission {
-        self.connection_index.take();
         let bandwidth = &self.bandwidth;
-        self.tables[u as usize].offer_incoming(p, bandwidth[p as usize], |q| bandwidth[q as usize])
+        if bandwidth[p as usize] < self.incoming_floor[u as usize] {
+            return Admission::Rejected; // full of strictly better peers
+        }
+        self.connection_index.take();
+        let admission = self.tables[u as usize]
+            .offer_incoming(p, bandwidth[p as usize], |q| bandwidth[q as usize]);
+        self.incoming_floor[u as usize] = self.incoming_floor_of(u);
+        admission
+    }
+
+    /// Drops `p` from `u`'s incoming set (`p` closed its long link to `u`).
+    pub(crate) fn remove_incoming(&mut self, u: u32, p: u32) {
+        self.connection_index.take();
+        self.tables[u as usize].remove_incoming(p);
+        self.incoming_floor[u as usize] = self.incoming_floor_of(u);
+    }
+
+    /// `incoming_floor[u]` by definition, from `u`'s table.
+    fn incoming_floor_of(&self, u: u32) -> f64 {
+        let table = &self.tables[u as usize];
+        if table.incoming_links().len() < table.max_incoming() {
+            return f64::NEG_INFINITY;
+        }
+        let bandwidths = table
+            .incoming_links()
+            .iter()
+            .map(|&q| self.bandwidth[q as usize]);
+        bandwidths.fold(f64::INFINITY, f64::min)
     }
 
     /// All connections `p` can forward over: outgoing (ring + long) plus
@@ -407,6 +475,14 @@ impl SelectNetwork {
         (0..self.len() as u32).find(|&p| !self.row_is_fresh(p, index.row(p)))
     }
 
+    /// The first peer whose stored admission floor differs from its
+    /// definition — the auditor's `incoming-floor` invariant.
+    #[cfg(any(test, feature = "audit"))]
+    pub(crate) fn first_stale_incoming_floor(&self) -> Option<u32> {
+        (0..self.len() as u32)
+            .find(|&u| self.incoming_floor[u as usize] != self.incoming_floor_of(u))
+    }
+
     /// Flat-edge slot of the directed social edge `(p, u)`, if `u` is a
     /// friend of `p`; indexes [`SelectNetwork::cma`] and
     /// [`SelectNetwork::link_buckets`].
@@ -415,22 +491,15 @@ impl SelectNetwork {
         self.graph.neighbor_slot(UserId(p), UserId(u))
     }
 
-    /// Overwrites `p`'s LSH bucket assignments with `buckets` (one member
-    /// list per bucket id). Members must be friends of `p`; the per-edge
-    /// slots outside the new selection are reset to [`NO_BUCKET`].
-    pub(crate) fn store_buckets(&mut self, p: u32, buckets: &[Vec<u32>]) {
-        debug_assert!(buckets.len() < NO_BUCKET as usize, "bucket id overflow");
+    /// Overwrites `p`'s LSH bucket assignments: `buckets` holds one id per
+    /// slot of `p`'s CSR row ([`NO_BUCKET`] outside the selection). Drops
+    /// `p`'s link cache, whose hit path trusts the slots to hold the cached
+    /// selection; the gossip apply refreshes it right after.
+    pub(crate) fn store_buckets(&mut self, p: u32, buckets: &[u16]) {
+        debug_assert_eq!(buckets.len(), self.graph.degree(UserId(p)));
         let base = self.graph.neighbor_base(UserId(p));
-        let end = base + self.graph.degree(UserId(p));
-        self.link_buckets[base..end].fill(NO_BUCKET);
-        for (b, members) in buckets.iter().enumerate() {
-            for &u in members {
-                let slot = self
-                    .edge_slot(p, u)
-                    .expect("bucket member is a social friend");
-                self.link_buckets[slot] = b as u16;
-            }
-        }
+        self.link_buckets[base..base + buckets.len()].copy_from_slice(buckets);
+        self.link_cache[p as usize].round = 0;
     }
 
     /// Members of the bucket of `p`'s selection that contains `member`, in
@@ -468,7 +537,7 @@ impl SelectNetwork {
             ];
             self.ring.remove(p);
             for q in adjacent.into_iter().flatten() {
-                Self::restitch(&self.ring, &mut self.tables, q);
+                self.restitch(q);
             }
         }
     }
@@ -489,47 +558,50 @@ impl SelectNetwork {
                 self.ring.predecessor_of_peer(p),
             ];
             for q in affected.into_iter().flatten() {
-                Self::restitch(&self.ring, &mut self.tables, q);
+                self.restitch(q);
             }
         }
     }
 
-    /// Dependency fingerprint of `p`'s link proposal: wrapping sum of its
-    /// online friends' routing-table versions. See [`LinkCache`].
-    pub(crate) fn link_deps_sum(&self, p: u32) -> u64 {
-        self.graph
-            .neighbors(UserId(p))
-            .iter()
-            .filter(|f| self.online[f.index()])
-            .fold(0u64, |acc, f| {
-                acc.wrapping_add(self.tables[f.index()].version())
-            })
-    }
-
-    /// Churn push-invalidation: `p`'s own cache plus every graph neighbor's
-    /// (their online-friend sets just changed, so their fingerprints are no
-    /// longer comparable across the event).
+    /// Churn stamp: `p`'s own proposal plus every graph neighbour's (their
+    /// online-friend sets just changed).
     pub(crate) fn invalidate_link_caches_around(&mut self, p: u32) {
-        self.link_cache[p as usize].valid = false;
+        self.link_dirty[p as usize] = self.round_counter;
         for &f in self.graph.neighbors(UserId(p)) {
-            self.link_cache[f.index()].valid = false;
+            self.link_dirty[f.index()] = self.round_counter;
         }
     }
 
-    /// Recomputes online peer `p`'s successor/predecessor from the ring.
-    /// Version-aware write: only an actual ring move bumps the table version
-    /// and thus spoils dependent link caches.
-    fn restitch(ring: &RingIndex, tables: &mut [RoutingTable], p: u32) {
-        tables[p as usize].set_short_links(ring.successor_of_peer(p), ring.predecessor_of_peer(p));
+    /// Recomputes online peer `p`'s successor/predecessor from the ring,
+    /// stamping for every ring neighbour its outgoing view lost or gained (at
+    /// most four), and returns the successor.
+    fn restitch(&mut self, p: u32) -> Option<u32> {
+        let new = [
+            self.ring.successor_of_peer(p),
+            self.ring.predecessor_of_peer(p),
+        ];
+        let table = &mut self.tables[p as usize];
+        let old = [table.successor, table.predecessor];
+        [table.successor, table.predecessor] = new;
+        let left = |a: [Option<u32>; 2], b: [Option<u32>; 2]| {
+            (a.into_iter().flatten()).filter(move |&w| !b.contains(&Some(w)))
+        };
+        for w in left(old, new).chain(left(new, old)) {
+            self.stamp(p, w);
+        }
+        new[0]
     }
 
     /// Recomputes every online peer's successor/predecessor from the ring —
     /// the full pass, for bootstrap and rounds, where many peers move at
-    /// once. A single liveness toggle re-stitches only the adjacent peers.
+    /// once: one lap from the first peer, each re-stitch naming the next. A
+    /// single liveness toggle re-stitches only the adjacent peers.
     pub(crate) fn refresh_short_links(&mut self) {
         self.connection_index.take();
-        for (_, p) in self.ring.iter() {
-            Self::restitch(&self.ring, &mut self.tables, p);
+        let first = self.ring.iter().next().map(|(_, p)| p);
+        let mut next = first;
+        while let Some(p) = next {
+            next = self.restitch(p).filter(|&q| Some(q) != first);
         }
     }
 
@@ -662,8 +734,8 @@ mod tests {
 
     proptest::proptest! {
         /// A toggle re-stitches only the adjacent peers, yet every table's
-        /// ring links *and version* equal those of the full pass — down to
-        /// rings of two, one and zero peers.
+        /// ring links — and the proposals stamped dirty on the way — equal
+        /// those of the full pass, down to rings of two, one and zero peers.
         #[test]
         fn toggles_restitch_exactly_what_the_full_pass_does(
             seed in 0u64..200,
@@ -687,8 +759,8 @@ mod tests {
                     let (a, b) = (local.table(q), full.table(q));
                     proptest::prop_assert_eq!(a.successor, b.successor, "successor of {}", q);
                     proptest::prop_assert_eq!(a.predecessor, b.predecessor, "predecessor of {}", q);
-                    proptest::prop_assert_eq!(a.version(), b.version(), "version of {}", q);
                 }
+                proptest::prop_assert_eq!(&local.link_dirty, &full.link_dirty);
             }
         }
     }
@@ -766,8 +838,96 @@ mod tests {
         let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.connections_of(p)));
         assert_eq!(read.is_err(), cfg!(debug_assertions));
         // The sanctioned writer drops the index; reads are fresh again.
-        net.table_mut(p);
+        net.remove_long(p, u);
         assert!(!net.connections_of(p).contains(&u));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Whatever offers, removals, toggles and rounds ran, every stored
+        /// admission floor is the recomputed one, and an offer — whether the
+        /// floor rejects it in O(1) or not — gets exactly the answer and the
+        /// incoming set `RoutingTable::offer_incoming` gives on its own.
+        /// Four distinct bandwidths force ties with the floor, and repeated
+        /// pairs reach the "already in `incoming`" accept at a full table.
+        #[test]
+        fn incoming_floor_matches_the_recomputed_minimum(
+            seed in 0u64..500,
+            steps in proptest::collection::vec((0u8..6, 0u32..24, 0u32..24), 1..60),
+        ) {
+            let g = BarabasiAlbert::with_closure(24, 3, 0.4).generate(seed);
+            let mut net = SelectNetwork::bootstrap(g, SelectConfig::default().with_seed(seed));
+            for (i, bw) in net.bandwidth.iter_mut().enumerate() {
+                *bw = (i % 4) as f64;
+            }
+            net.converge(30);
+            proptest::prop_assert_eq!(net.first_stale_incoming_floor(), None);
+            for (op, u, p) in steps {
+                match op {
+                    0..=2 => {
+                        let bw = net.bandwidth.clone();
+                        let mut alone = net.tables[u as usize].clone();
+                        let want = alone.offer_incoming(p, bw[p as usize], |q| bw[q as usize]);
+                        proptest::prop_assert_eq!(net.offer_incoming(u, p), want);
+                        proptest::prop_assert_eq!(
+                            net.table(u).incoming_links(), alone.incoming_links()
+                        );
+                    }
+                    3 => net.remove_incoming(u, p),
+                    4 => net.set_offline(u),
+                    _ => net.set_online(u),
+                }
+                proptest::prop_assert_eq!(net.first_stale_incoming_floor(), None);
+            }
+        }
+    }
+
+    /// A proposal input written behind the stamping methods' back — a ring
+    /// link of `u` onto a non-friend `w`, both inside `p`'s neighbourhood —
+    /// leaves `p` a cache the stamp rule calls valid and the rebuild does
+    /// not: the auditor's `link-cache` invariant. (`p < u`, so the audit
+    /// reaches `p`'s cache before `u`'s broken ring link.)
+    #[cfg(feature = "audit")]
+    #[test]
+    fn unstamped_proposal_input_is_caught() {
+        let net = {
+            let mut net = small_net(9);
+            net.converge(50);
+            net
+        };
+        let caught = (0..100u32).find_map(|p| {
+            let friends = net.online_friends(p);
+            let pairs = friends
+                .iter()
+                .flat_map(|&u| friends.iter().map(move |&w| (u, w)));
+            pairs
+                .filter(|&(u, w)| p < u && u != w && net.edge_slot(u, w).is_none())
+                .find_map(|(u, w)| {
+                    let mut bypassed = net.clone();
+                    bypassed.tables[u as usize].successor = Some(w);
+                    let diverged = bypassed.link_cache_divergence(p).is_some();
+                    (bypassed.link_cache_valid(p) && diverged).then_some((p, bypassed))
+                })
+        });
+        let (p, bypassed) = caught.expect("some bitmap bit is sampled by the LSH family");
+        let err = bypassed.audit_overlay().unwrap_err();
+        assert_eq!((err.invariant, err.peer), ("link-cache", Some(p)));
+    }
+
+    /// A floor left behind by a writer that bypasses `remove_incoming` is
+    /// caught by the auditor.
+    #[cfg(feature = "audit")]
+    #[test]
+    fn stale_incoming_floor_is_caught() {
+        let mut net = small_net(8);
+        net.converge(50);
+        let u = (0..100u32)
+            .find(|&u| net.incoming_floor[u as usize] > f64::NEG_INFINITY)
+            .expect("some incoming set is full");
+        net.incoming_floor[u as usize] = f64::NEG_INFINITY;
+        let err = net.audit_overlay().unwrap_err();
+        assert_eq!((err.invariant, err.peer), ("incoming-floor", Some(u)));
     }
 
     #[test]

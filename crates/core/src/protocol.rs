@@ -15,7 +15,8 @@
 //! same quality band), which justifies using the fast direct path in the
 //! large experiment sweeps.
 
-use crate::links::create_links;
+use crate::bitmaps::friendship_bitmap;
+use crate::links::{create_links_from_bitmaps, SelectionScratch};
 use crate::network::SelectNetwork;
 use crate::reassign::evaluate_position;
 use crate::stats::{ConvergenceTelemetry, RoundTelemetry};
@@ -353,24 +354,29 @@ impl ProtocolNetwork {
             return 0;
         }
         let cfg = self.net.config();
-        let selection = create_links(
+        let mut scratch = SelectionScratch::default();
+        let mut candidates = create_links_from_bitmaps(
             &known,
             self.net.k(),
             cfg.lsh_samples,
             cfg.seed ^ (p as u64).rotate_left(32),
-            |u| {
+            |j, bm| {
+                let u = known[j];
                 let mut links: Vec<u32> = view.links_of(u).map(<[u32]>::to_vec).unwrap_or_default();
                 links.extend(self.net.graph().neighbors(UserId(u)).iter().map(|f| f.0));
-                links
+                *bm = friendship_bitmap(&known, &links);
             },
             |u| self.net.bandwidth_of(u),
+            &mut scratch,
         );
-        let crate::links::LinkSelection {
-            targets: mut candidates,
-            buckets,
-        } = selection;
         #[cfg(feature = "audit")]
-        crate::gossip::assert_one_representative_per_bucket(p, &candidates, &buckets);
+        crate::gossip::assert_one_representative_per_bucket(
+            p,
+            &candidates,
+            &known,
+            &scratch.bucket_of,
+        );
+        let buckets = scratch.row_buckets(view.heard.iter().copied());
         self.net.store_buckets(p, &buckets);
         // Preference tail: remaining known friends by reported nMutual.
         let mut rest: Vec<u32> = known
@@ -511,6 +517,25 @@ mod tests {
             proto.view(5).is_empty(),
             "offline peer must not learn anything"
         );
+    }
+
+    /// Regression: relinking from a view rewrites the peer's bucket slots,
+    /// so it must drop the peer's link cache — whose hit path trusts the
+    /// slots to hold the cached selection — rather than leave it for the next
+    /// direct round to reuse. (With `--features audit` that round also
+    /// re-derives every hit.)
+    #[test]
+    fn relink_drops_the_link_cache_it_overwrites() {
+        let mut net = bootstrap(7);
+        net.converge(100);
+        let mut proto = ProtocolNetwork::new(net);
+        proto.round();
+        proto.round(); // delivers the first round's mail and relinks from it
+        let mut net = proto.into_network();
+        for p in (0..120u32).filter(|&p| net.link_cache_valid(p)) {
+            assert_eq!(net.link_cache_divergence(p), None, "link cache of {p}");
+        }
+        net.gossip_round();
     }
 
     #[test]

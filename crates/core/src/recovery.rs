@@ -98,45 +98,43 @@ impl SelectNetwork {
         // sweep, so no peer silently loses a long link to someone else's
         // replacement.
         let mut evicted_queue: Vec<(u32, u32)> = Vec::new();
-        engine.step(false, |p, mail, _| {
-            for ProbeReport(probes) in mail {
-                for (u, responded) in probes {
-                    if !self.table(p).long_links().contains(&u) {
-                        continue;
-                    }
-                    report.probes += 1;
-                    let slot = self
-                        .edge_slot(p, u)
-                        .expect("long links connect social friends");
-                    self.cma[slot].observe_probe(responded);
-                    if responded {
-                        continue;
-                    }
-                    report.unresponsive += 1;
-                    let trusted = self.cfg.cma_recovery
-                        && !self.cma[slot].is_poor(self.cfg.cma_threshold, self.cfg.cma_min_obs);
-                    if trusted {
-                        report.kept += 1;
-                        continue;
-                    }
-                    // Replace: prefer an online peer from the same LSH
-                    // bucket, else any online friend not already linked.
-                    self.table_mut(p).remove_long(u);
-                    self.table_mut(u).remove_incoming(p);
-                    match self.find_replacement(p, u) {
-                        Some(r) => match self.offer_incoming(r, p) {
-                            Admission::Accepted { evicted } => {
-                                self.table_mut(p).add_long(r);
-                                if let Some(w) = evicted {
-                                    self.table_mut(w).remove_long(r);
-                                    evicted_queue.push((w, r));
-                                }
-                                report.replaced += 1;
+        engine.drain(|p, ProbeReport(probes)| {
+            for (u, responded) in probes {
+                if !self.table(p).long_links().contains(&u) {
+                    continue;
+                }
+                report.probes += 1;
+                let slot = self
+                    .edge_slot(p, u)
+                    .expect("long links connect social friends");
+                self.cma[slot].observe_probe(responded);
+                if responded {
+                    continue;
+                }
+                report.unresponsive += 1;
+                let trusted = self.cfg.cma_recovery
+                    && !self.cma[slot].is_poor(self.cfg.cma_threshold, self.cfg.cma_min_obs);
+                if trusted {
+                    report.kept += 1;
+                    continue;
+                }
+                // Replace: prefer an online peer from the same LSH
+                // bucket, else any online friend not already linked.
+                self.remove_long(p, u);
+                self.remove_incoming(u, p);
+                match self.find_replacement(p, u) {
+                    Some(r) => match self.offer_incoming(r, p) {
+                        Admission::Accepted { evicted } => {
+                            self.add_long(p, r);
+                            if let Some(w) = evicted {
+                                self.remove_long(w, r);
+                                evicted_queue.push((w, r));
                             }
-                            Admission::Rejected => report.dropped += 1,
-                        },
-                        None => report.dropped += 1,
-                    }
+                            report.replaced += 1;
+                        }
+                        Admission::Rejected => report.dropped += 1,
+                    },
+                    None => report.dropped += 1,
                 }
             }
         });
@@ -158,9 +156,9 @@ impl SelectNetwork {
             match self.find_replacement(w, lost) {
                 Some(r) => match self.offer_incoming(r, w) {
                     Admission::Accepted { evicted } => {
-                        self.table_mut(w).add_long(r);
+                        self.add_long(w, r);
                         if let Some(w2) = evicted {
-                            self.table_mut(w2).remove_long(r);
+                            self.remove_long(w2, r);
                             evicted_queue.push((w2, r));
                         }
                         report.evicted_relinked += 1;

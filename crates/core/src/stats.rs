@@ -23,6 +23,9 @@ pub struct RoundTelemetry {
     pub id_movement: f64,
     /// Long-range links added or removed across the network.
     pub link_changes: usize,
+    /// Peers that ran Algorithm 5 this round; the other online peers reused
+    /// their cached proposal.
+    pub links_recomputed: usize,
     /// Superstep messages exchanged (move + link proposals).
     pub messages: u64,
     /// Link-budget slots filled by LSH bucket representatives.
@@ -107,6 +110,7 @@ impl PartialEq for RoundTelemetry {
             && self.id_moves == other.id_moves
             && self.id_movement == other.id_movement
             && self.link_changes == other.link_changes
+            && self.links_recomputed == other.links_recomputed
             && self.messages == other.messages
             && self.lsh_bucket_hits == other.lsh_bucket_hits
             && self.lsh_bucket_fallbacks == other.lsh_bucket_fallbacks

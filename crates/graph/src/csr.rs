@@ -134,10 +134,18 @@ impl SocialGraph {
         })
     }
 
-    /// Number of common neighbours of `u` and `v` via a sorted-list merge.
+    /// Number of common neighbours of `u` and `v`.
     ///
     /// This is the `|C_p ∩ C_u|` term of the paper's social strength (Eq. 2).
     pub fn common_neighbors(&self, u: UserId, v: UserId) -> usize {
+        let mut count = 0;
+        self.for_each_common_neighbor(u, v, |_| count += 1);
+        count
+    }
+
+    /// Calls `f` with every common neighbour of `u` and `v`, in ascending
+    /// order, via a sorted-list merge.
+    pub fn for_each_common_neighbor(&self, u: UserId, v: UserId, mut f: impl FnMut(UserId)) {
         let (mut a, mut b) = (self.neighbors(u), self.neighbors(v));
         // Merge the shorter list against the longer one.
         if a.len() > b.len() {
@@ -145,22 +153,23 @@ impl SocialGraph {
         }
         // Galloping pays off when the size ratio is extreme (hub vs leaf).
         if b.len() > 32 * a.len().max(1) {
-            return a.iter().filter(|x| b.binary_search(x).is_ok()).count();
+            return a
+                .iter()
+                .filter(|x| b.binary_search(x).is_ok())
+                .for_each(|&x| f(x));
         }
-        let mut count = 0;
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
             match a[i].cmp(&b[j]) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
-                    count += 1;
+                    f(a[i]);
                     i += 1;
                     j += 1;
                 }
             }
         }
-        count
     }
 
     /// Social strength s(p, u) = |C_p ∩ C_u| / |C_p| (paper Eq. 2).

@@ -19,6 +19,13 @@ impl Bitmap {
         }
     }
 
+    /// Turns `self` into `Bitmap::zeros(len)`, keeping the allocation.
+    pub fn reset(&mut self, len: usize) {
+        self.blocks.clear();
+        self.blocks.resize(len.div_ceil(64), 0);
+        self.len = len;
+    }
+
     /// Builds from an iterator of set-bit positions.
     ///
     /// # Panics
@@ -129,6 +136,15 @@ impl Bitmap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn reset_equals_zeros() {
+        let mut bm = Bitmap::from_set_bits(130, [0, 64, 129]);
+        for len in [65, 0, 200] {
+            bm.reset(len);
+            assert_eq!(bm, Bitmap::zeros(len));
+        }
+    }
 
     #[test]
     fn set_get_roundtrip() {

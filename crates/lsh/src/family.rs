@@ -15,7 +15,7 @@ pub trait LshFamily {
 
 /// Bit-sampling LSH for Hamming distance: the hash concatenates `samples`
 /// randomly chosen bit positions and reduces modulo the bucket count.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BitSampling {
     positions: Vec<usize>,
     num_buckets: usize,
@@ -28,16 +28,26 @@ impl BitSampling {
     /// # Panics
     /// Panics if `num_buckets == 0`, or `samples == 0`, or `dim == 0`.
     pub fn new(dim: usize, num_buckets: usize, samples: usize, seed: u64) -> Self {
+        let mut family = BitSampling::default();
+        family.reseed(dim, num_buckets, samples, seed);
+        family
+    }
+
+    /// Turns `self` into exactly `BitSampling::new(dim, num_buckets, samples,
+    /// seed)`, reusing the position buffer — for callers that build one
+    /// family per peer per round.
+    ///
+    /// # Panics
+    /// As [`BitSampling::new`].
+    pub fn reseed(&mut self, dim: usize, num_buckets: usize, samples: usize, seed: u64) {
         assert!(num_buckets > 0, "need at least one bucket");
         assert!(samples > 0, "need at least one sampled bit");
         assert!(dim > 0, "dimension must be positive");
         let mut rng = StdRng::seed_from_u64(seed ^ 0xb17_5a3e);
-        // selint: allow(hotpath-alloc, family construction happens once per create_links call, itself a LinkCache-miss slow path)
-        let positions = (0..samples).map(|_| rng.gen_range(0..dim)).collect();
-        BitSampling {
-            positions,
-            num_buckets,
-        }
+        self.positions.clear();
+        self.positions
+            .extend((0..samples).map(|_| rng.gen_range(0..dim)));
+        self.num_buckets = num_buckets;
     }
 
     /// The sampled bit positions.
@@ -120,6 +130,17 @@ mod tests {
 
     fn random_bitmap(dim: usize, density: f64, rng: &mut StdRng) -> Bitmap {
         Bitmap::from_set_bits(dim, (0..dim).filter(|_| rng.gen_bool(density)))
+    }
+
+    #[test]
+    fn reseed_equals_new() {
+        let mut reused = BitSampling::new(128, 8, 16, 42);
+        for (dim, buckets, samples, seed) in [(64, 5, 12, 1), (300, 3, 40, 9), (1, 1, 1, 0)] {
+            reused.reseed(dim, buckets, samples, seed);
+            let fresh = BitSampling::new(dim, buckets, samples, seed);
+            assert_eq!(reused.positions(), fresh.positions());
+            assert_eq!(reused.num_buckets(), fresh.num_buckets());
+        }
     }
 
     #[test]

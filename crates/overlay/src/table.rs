@@ -22,12 +22,6 @@ pub struct RoutingTable {
     incoming: Vec<u32>,
     /// Maximum accepted incoming links (the paper's K).
     max_incoming: usize,
-    /// Monotonic change counter over the *outgoing* link view (successor,
-    /// predecessor, long links). Incoming-link churn does not bump it:
-    /// incoming links never feed a neighbor's gossip view. Not serialized;
-    /// a deserialized table restarts at 0, which only costs cache misses.
-    #[serde(skip)]
-    version: u64,
 }
 
 impl RoutingTable {
@@ -39,32 +33,7 @@ impl RoutingTable {
             long: Vec::new(),
             incoming: Vec::new(),
             max_incoming,
-            version: 0,
         }
-    }
-
-    /// Current outgoing-view change counter. Bumped exactly when the set
-    /// `{successor, predecessor} ∪ long` changes through this API.
-    ///
-    /// Footgun: `successor`/`predecessor` are still public fields for the
-    /// baseline Symphony overlay's direct writes; those writes bypass the
-    /// counter. SELECT's own engine routes every short-link change through
-    /// [`RoutingTable::set_short_links`], which is what the link-proposal
-    /// cache relies on.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Sets both ring links, bumping the version only on an actual change.
-    /// Returns true if either link changed.
-    pub fn set_short_links(&mut self, successor: Option<u32>, predecessor: Option<u32>) -> bool {
-        let changed = self.successor != successor || self.predecessor != predecessor;
-        if changed {
-            self.successor = successor;
-            self.predecessor = predecessor;
-            self.version += 1;
-        }
-        changed
     }
 
     /// The long-range link set `R_p^l`.
@@ -128,7 +97,6 @@ impl RoutingTable {
             false
         } else {
             self.long.push(peer);
-            self.version += 1;
             true
         }
     }
@@ -137,7 +105,6 @@ impl RoutingTable {
     pub fn remove_long(&mut self, peer: u32) -> bool {
         if let Some(i) = self.long.iter().position(|&p| p == peer) {
             self.long.swap_remove(i);
-            self.version += 1;
             true
         } else {
             false
@@ -146,28 +113,19 @@ impl RoutingTable {
 
     /// Drops every reference to `peer` (churn departure).
     pub fn purge(&mut self, peer: u32) {
-        let mut short_changed = false;
         if self.successor == Some(peer) {
             self.successor = None;
-            short_changed = true;
         }
         if self.predecessor == Some(peer) {
             self.predecessor = None;
-            short_changed = true;
         }
-        if short_changed {
-            self.version += 1;
-        }
-        self.remove_long(peer); // bumps on its own when present
+        self.remove_long(peer);
         self.incoming.retain(|&p| p != peer);
     }
 
     /// Clears long-range links only, keeping the ring links.
     pub fn clear_long(&mut self) {
-        if !self.long.is_empty() {
-            self.long.clear();
-            self.version += 1;
-        }
+        self.long.clear();
     }
 
     /// Attempts to register an incoming connection from `peer`.
@@ -310,41 +268,5 @@ mod tests {
     fn zero_capacity_rejects() {
         let mut t = RoutingTable::new(0);
         assert_eq!(t.offer_incoming(1, 9.9, |_| 0.0), Admission::Rejected);
-    }
-
-    #[test]
-    fn version_tracks_outgoing_view_only() {
-        let mut t = RoutingTable::new(4);
-        assert_eq!(t.version(), 0);
-        assert!(t.set_short_links(Some(1), Some(2)));
-        assert_eq!(t.version(), 1);
-        assert!(!t.set_short_links(Some(1), Some(2)), "no-op write");
-        assert_eq!(t.version(), 1);
-        t.add_long(3);
-        assert_eq!(t.version(), 2);
-        t.add_long(3); // idempotent: no bump
-        assert_eq!(t.version(), 2);
-        // Incoming churn is invisible to the outgoing view.
-        let _ = t.offer_incoming(9, 1.0, |_| 0.0);
-        t.remove_incoming(9);
-        assert_eq!(t.version(), 2);
-        t.remove_long(3);
-        assert_eq!(t.version(), 3);
-        t.remove_long(3); // absent: no bump
-        assert_eq!(t.version(), 3);
-        t.clear_long();
-        assert_eq!(t.version(), 3, "clearing empty long set is a no-op");
-        t.add_long(5);
-        t.clear_long();
-        assert_eq!(t.version(), 5);
-        // purge bumps once for short links, once via remove_long.
-        t.set_short_links(Some(7), Some(7));
-        t.add_long(7);
-        let v = t.version();
-        t.purge(7);
-        assert_eq!(t.version(), v + 2);
-        // purge of an unreferenced peer is version-silent.
-        t.purge(42);
-        assert_eq!(t.version(), v + 2);
     }
 }

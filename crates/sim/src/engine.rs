@@ -183,6 +183,28 @@ impl<M> SuperstepEngine<M> {
         delivered
     }
 
+    /// [`SuperstepEngine::step`]`(false, ..)` for an apply half whose pending
+    /// mail is ordered by destination — self-addressed proposals merged in
+    /// vertex order: hands each message to `vertex_fn(vertex, message)`
+    /// straight from the outbox, so no per-vertex inbox is allocated. Same
+    /// delivery order, round count and return value as `step`.
+    ///
+    /// # Panics
+    /// Panics if the pending mail is not ordered by destination.
+    pub fn drain(&mut self, mut vertex_fn: impl FnMut(u32, M)) -> usize {
+        let pending = std::mem::take(&mut self.outboxes);
+        assert!(
+            pending.windows(2).all(|w| w[0].0 <= w[1].0),
+            "drain needs mail ordered by destination"
+        );
+        self.round += 1;
+        let delivered = pending.len();
+        for (to, msg) in pending {
+            vertex_fn(to, msg);
+        }
+        delivered
+    }
+
     /// Whether any message is queued for the next round.
     pub fn has_pending(&self) -> bool {
         !self.outboxes.is_empty()
@@ -490,6 +512,49 @@ mod tests {
         assert!(eng.has_pending());
         eng.step(false, |_, _, _| {});
         assert!(!eng.has_pending());
+    }
+
+    #[test]
+    fn drain_delivers_what_step_delivers() {
+        // Self-addressed proposals from a ragged parallel compute half (some
+        // vertices silent, some sending twice), applied both ways.
+        let run = |drain: bool| {
+            let mut eng: SuperstepEngine<u32> = SuperstepEngine::new(23);
+            let mut seen = Vec::new();
+            let mut delivered = Vec::new();
+            for round in 0..3u32 {
+                eng.step_parallel(true, 4, |v, _mail, out| {
+                    for copy in 0..(v + round) % 3 {
+                        out.push((v, 100 * round + 10 * v + copy));
+                    }
+                });
+                delivered.push(if drain {
+                    eng.drain(|v, m| seen.push((v, m)))
+                } else {
+                    eng.step(false, |v, mail, _| {
+                        seen.extend(mail.into_iter().map(|m| (v, m)))
+                    })
+                });
+            }
+            (
+                seen,
+                delivered,
+                eng.round(),
+                eng.messages_sent_total(),
+                eng.has_pending(),
+            )
+        };
+        assert_eq!(run(true), run(false));
+        assert!(!run(true).0.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "ordered by destination")]
+    fn drain_rejects_unordered_mail() {
+        let mut eng: SuperstepEngine<()> = SuperstepEngine::new(4);
+        eng.send(2, ());
+        eng.send(1, ());
+        eng.drain(|_, _| {});
     }
 
     #[test]

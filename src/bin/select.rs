@@ -312,8 +312,9 @@ fn converged(opts: &Opts) -> (SocialGraph, SelectNetwork, ConvergenceTelemetry) 
         conv.telemetry.summary()
     );
     // Per-round telemetry: every round until quiescence, one line each,
-    // ending in the round's phase split (wall segments, then the per-shard
-    // CPU sums inside the link compute half).
+    // ending in how many peers re-ran Algorithm 5 (the rest reused their
+    // cached proposal) and the round's phase split (wall segments, then the
+    // per-shard CPU sums inside the link compute half).
     for r in &conv.telemetry.rounds {
         let phases: Vec<String> = r
             .phase_nanos()
@@ -322,7 +323,8 @@ fn converged(opts: &Opts) -> (SocialGraph, SelectNetwork, ConvergenceTelemetry) 
             .collect();
         eprintln!(
             "[select]   round {:3}: {:4} msgs, {:3} id moves ({:.4} ring), \
-             {:4} link changes, bucket hit rate {:5.1}%, {:.2} ms [wall: {}; cpu: {}]",
+             {:4} link changes, bucket hit rate {:5.1}%, {:.2} ms, \
+             {:4} links_recomputed [wall: {}; cpu: {}]",
             r.round,
             r.messages,
             r.id_moves,
@@ -330,6 +332,7 @@ fn converged(opts: &Opts) -> (SocialGraph, SelectNetwork, ConvergenceTelemetry) 
             r.link_changes,
             r.bucket_hit_rate() * 100.0,
             r.wall_nanos as f64 / 1e6,
+            r.links_recomputed,
             phases[..4].join(", "),
             phases[4..].join(", ")
         );
