@@ -316,7 +316,7 @@ mod tests {
         let stranger = (0..net.len() as u32)
             .find(|&q| q != p && net.edge_slot(p, q).is_none())
             .expect("some non-friend exists");
-        net.add_long(p, stranger);
+        net.table_mut_unchecked(p).add_long(stranger);
         let err = net.audit_overlay().unwrap_err();
         assert_eq!(err.invariant, "long-degree");
         assert_eq!(err.peer, Some(p));

@@ -118,9 +118,9 @@ fn set_bit(words: &mut [u64], i: usize) {
 }
 
 impl LinkScratch {
-    /// Loads `p`'s online neighbourhood and the triangles through `p`. The
-    /// social relation is symmetric, so each friend's CSR row is walked from
-    /// its own id upward and both bits of an edge are set at once.
+    /// Loads `p`'s online neighbourhood and the triangles through `p`: row
+    /// `j` is friend `j`'s whole CSR row ORed in through the `slot` table,
+    /// with a peer outside the neighbourhood contributing a zero word.
     fn load(&mut self, net: &SelectNetwork, p: u32) {
         net.online_friends_into(p, &mut self.neigh);
         let LinkScratch {
@@ -140,15 +140,12 @@ impl LinkScratch {
         rows.clear();
         rows.resize(neigh.len() * *words, 0);
         for (j, &u) in neigh.iter().enumerate() {
-            let friends_of_u = net.graph.neighbors(osn_graph::UserId(u));
-            let above = friends_of_u.partition_point(|x| x.0 <= u);
-            for x in &friends_of_u[above..] {
+            let row = &mut rows[j * *words..][..*words];
+            for x in net.graph.neighbors(osn_graph::UserId(u)) {
                 let i = slot[x.index()];
-                if i != ABSENT {
-                    let i = i as usize;
-                    set_bit(&mut rows[j * *words..], i);
-                    set_bit(&mut rows[i * *words..], j);
-                }
+                let present = u32::from(i != ABSENT);
+                let i = (i & present.wrapping_neg()) as usize;
+                row[i / 64] |= u64::from(present) << (i % 64);
             }
         }
     }
@@ -521,8 +518,11 @@ impl SelectNetwork {
         // the bitmap in the social graph keeps the bitmap → bucket → link
         // feedback loop from flapping forever — with purely dynamic `R_u`
         // the pick in a bucket changes every round and the overlay never
-        // quiesces. The social part is friend `u`'s triangle row; its links
-        // add the bits of whichever of them are friends of `p`.
+        // quiesces. The social part is friend `u`'s triangle row. A long
+        // link only ever joins social friends (`SelectNetwork::add_long`
+        // asserts it), so it is a bit of that row already; only `u`'s ring
+        // neighbours can add a bit, when they are friends of `p` but not of
+        // `u`.
         let LinkScratch {
             neigh,
             slot,
@@ -538,8 +538,8 @@ impl SelectNetwork {
             self.cfg.seed ^ (p as u64).rotate_left(32),
             |j, bm| {
                 bm.copy_from_words(&rows[j * *words..][..*words]);
-                let u = neigh[j];
-                for link in self.table(u).outgoing() {
+                let (u, table) = (neigh[j], self.table(neigh[j]));
+                for link in [table.successor, table.predecessor].into_iter().flatten() {
                     let i = slot[link as usize];
                     if i != ABSENT && link != u {
                         bm.set(i as usize, true);
@@ -1308,7 +1308,7 @@ mod tests {
             assert!(ring_link_inside_neighbourhood);
             assert_rows_match_scans(&n);
             // `all_links` drops a table's reference to its own peer.
-            n.add_long(6, 6);
+            n.table_mut_unchecked(6).successor = Some(6);
             assert_rows_match_scans(&n);
             // No bucket at all: the whole list is the coverage tail.
             n.k = 0;
@@ -1319,14 +1319,16 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(12))]
 
             /// Random graphs, overlays stopped mid-convergence, random
-            /// liveness masks: the triangle-row proposal is the scan-based
-            /// one, field for field.
+            /// liveness masks and probe rounds (so recovery's replacements
+            /// and eviction relinks have written long links too): the
+            /// triangle-row proposal is the scan-based one, field for field.
             #[test]
             fn rows_match_scans_on_random_overlays(
                 seed in 0u64..1000,
                 communities in any::<bool>(),
                 rounds_before in 0usize..5,
                 offline in proptest::collection::vec(0u32..160, 0..60),
+                probes in 0usize..4,
                 rounds_after in 0usize..2,
             ) {
                 let g = if communities {
@@ -1340,6 +1342,9 @@ mod tests {
                 }
                 for &p in &offline {
                     n.set_offline(p);
+                }
+                for _ in 0..probes {
+                    n.probe_round();
                 }
                 for _ in 0..rounds_after {
                     n.gossip_round();

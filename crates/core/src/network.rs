@@ -199,7 +199,7 @@ impl SelectNetwork {
         let k = cfg.resolved_k(n);
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let bandwidth = BandwidthModel::default().sample_all(&mut rng, n);
-        let strengths = StrengthIndex::build(&graph);
+        let strengths = StrengthIndex::build_parallel(&graph, cfg.resolved_threads());
         let edges = graph.num_directed_edges();
         SelectNetwork {
             cfg,
@@ -312,6 +312,12 @@ impl SelectNetwork {
     /// Opens the long link `p → u`. With [`Self::remove_long`] and the ring
     /// pass the only writers of an outgoing view; each owns its stamp.
     pub(crate) fn add_long(&mut self, p: u32, u: u32) -> bool {
+        // Algorithm 5's bitmap fill relies on it: a long link between
+        // friends is already a bit of the owner's triangle row.
+        debug_assert!(
+            self.graph.has_edge(UserId(p), UserId(u)),
+            "long link {p} → {u} is not a social edge"
+        );
         self.connection_index.take();
         let added = self.tables[p as usize].add_long(u);
         if added {
@@ -638,6 +644,17 @@ impl Topology for SelectNetwork {
 mod tests {
     use super::*;
     use osn_graph::generators::{BarabasiAlbert, Generator};
+
+    impl SelectNetwork {
+        /// `p`'s routing table past the writers that keep the overlay's
+        /// invariants (and `add_long`'s friends-only assertion), for states
+        /// no writer produces: a self-referencing ring link, a foreign long
+        /// link for the auditor to catch.
+        pub(crate) fn table_mut_unchecked(&mut self, p: u32) -> &mut RoutingTable {
+            self.connection_index.take();
+            &mut self.tables[p as usize]
+        }
+    }
 
     fn small_net(seed: u64) -> SelectNetwork {
         let g = BarabasiAlbert::new(100, 4).generate(seed);

@@ -51,16 +51,6 @@ impl RoutingTable {
         self.max_incoming
     }
 
-    /// The outgoing links as stored: successor, predecessor, then the long
-    /// links — not deduplicated and not filtered (see
-    /// [`RoutingTable::all_links`] for the set view). Allocation-free.
-    pub fn outgoing(&self) -> impl Iterator<Item = u32> + '_ {
-        self.successor
-            .into_iter()
-            .chain(self.predecessor)
-            .chain(self.long.iter().copied())
-    }
-
     /// All outgoing links: successor, predecessor and long-range links,
     /// deduplicated, excluding `self_id`.
     pub fn all_links(&self, self_id: u32) -> Vec<u32> {
@@ -201,7 +191,6 @@ mod tests {
         t.add_long(3);
         t.add_long(7); // self, should be excluded by all_links(7)
         assert_eq!(t.all_links(7), vec![1, 2, 3]);
-        assert_eq!(t.outgoing().collect::<Vec<_>>(), vec![1, 2, 1, 3, 7]);
     }
 
     #[test]

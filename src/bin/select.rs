@@ -110,6 +110,7 @@ fn flush_observer(
     opts: &Opts,
     obs: &Observer,
     conv: &ConvergenceTelemetry,
+    bootstrap_ms: f64,
     wire: Option<(&str, StatsSnapshot)>,
 ) {
     if let Some(fr) = &obs.flight {
@@ -134,8 +135,10 @@ fn flush_observer(
         .with_histogram("select_publish_retries", m.retries.clone())
         .with_histogram("select_publish_latency_virtual_ms", m.latency_ms.clone())
         .with_histogram("select_relay_load", m.relay_load_histogram());
-    // Where the convergence run's time went. Wall-clock, so these are the
-    // only gauges that differ between two runs of the same seed.
+    // Where the bootstrap and the convergence run's time went. Wall-clock,
+    // so these are the only gauges that differ between two runs of the
+    // same seed.
+    snap = snap.with_gauge("select_bootstrap_ms", bootstrap_ms);
     for (phase, nanos) in conv.phase_nanos() {
         snap = snap.with_gauge(
             &format!("select_gossip_phase_{phase}_ms"),
@@ -274,7 +277,10 @@ fn parse(args: &[String]) -> Result<(String, Opts), String> {
     Ok((cmd.unwrap_or_else(|| "demo".into()), opts))
 }
 
-fn converged(opts: &Opts) -> (SocialGraph, SelectNetwork, ConvergenceTelemetry) {
+/// Bootstraps and converges the overlay; the last field is the bootstrap's
+/// wall time in ms (the strength ranking dominates it), which no per-round
+/// line covers.
+fn converged(opts: &Opts) -> (SocialGraph, SelectNetwork, ConvergenceTelemetry, f64) {
     let graph = opts.dataset.generate_with_nodes(opts.nodes, opts.seed);
     eprintln!(
         "[select] {} preset: {} users, avg degree {:.1}",
@@ -292,6 +298,7 @@ fn converged(opts: &Opts) -> (SocialGraph, SelectNetwork, ConvergenceTelemetry) 
             opts.retries
         );
     }
+    let t0 = std::time::Instant::now();
     let mut net = SelectNetwork::bootstrap(
         graph.clone(),
         SelectConfig::default()
@@ -300,6 +307,8 @@ fn converged(opts: &Opts) -> (SocialGraph, SelectNetwork, ConvergenceTelemetry) 
             .with_fault_plan(plan)
             .with_retry_max(opts.retries),
     );
+    let bootstrap_ms = t0.elapsed().as_secs_f64() * 1e3;
+    eprintln!("[select] bootstrap {bootstrap_ms:.2} ms");
     let conv = net.converge(300);
     eprintln!(
         "[select] {} in {} rounds: {}",
@@ -337,11 +346,11 @@ fn converged(opts: &Opts) -> (SocialGraph, SelectNetwork, ConvergenceTelemetry) 
             phases[4..].join(", ")
         );
     }
-    (graph, net, conv.telemetry)
+    (graph, net, conv.telemetry, bootstrap_ms)
 }
 
 fn cmd_demo(opts: &Opts) {
-    let (graph, net, conv) = converged(opts);
+    let (graph, net, conv, bootstrap_ms) = converged(opts);
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let fault_mode = opts.fault_plan().is_active();
     let mut observer = opts.observer(graph.num_nodes());
@@ -369,7 +378,13 @@ fn cmd_demo(opts: &Opts) {
     if let Some(obs) = &observer {
         let (p50, p95, p99) = obs.metrics.latency_ms.tails();
         eprintln!("[select] delivery latency p50/p95/p99: {p50}/{p95}/{p99} virtual ms");
-        flush_observer(opts, obs, &conv, wire.as_ref().map(|(name, s)| (*name, *s)));
+        flush_observer(
+            opts,
+            obs,
+            &conv,
+            bootstrap_ms,
+            wire.as_ref().map(|(name, s)| (*name, *s)),
+        );
     }
 }
 
@@ -517,7 +532,7 @@ fn cmd_compare(opts: &Opts) {
 }
 
 fn cmd_churn(opts: &Opts) {
-    let (graph, mut net, conv) = converged(opts);
+    let (graph, mut net, conv, bootstrap_ms) = converged(opts);
     for _ in 0..5 {
         net.probe_round();
     }
@@ -568,12 +583,12 @@ fn cmd_churn(opts: &Opts) {
         println!("fault telemetry     : {}", delivery.summary());
     }
     if let Some(obs) = &observer {
-        flush_observer(opts, obs, &conv, None);
+        flush_observer(opts, obs, &conv, bootstrap_ms, None);
     }
 }
 
 fn cmd_stats(opts: &Opts) {
-    let (_, net, _) = converged(opts);
+    let (_, net, _, _) = converged(opts);
     let s = net.overlay_stats(5_000);
     println!("online peers            : {}", s.online);
     println!("friend distance (ring)  : {:.4}", s.mean_friend_distance);
