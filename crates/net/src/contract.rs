@@ -3,11 +3,12 @@
 //! Every check here is a function over a spawn closure `(n, plan) ->
 //! PeerNetwork<L>` that drives the network only through [`Transport`] and
 //! [`publish_over`], so it states what *any* family owes the publish
-//! driver. [`contract_suite!`] instantiates the lot as `channel::`,
-//! `throttled::` and `socket::` (ci.sh's `socket::` filter selects the TCP
-//! run). What only one family can promise — TCP addresses and garbage
-//! handling, the throttle's arrival timing — stays in that family's own
-//! test module.
+//! driver. [`contract_suite!`] instantiates the lot as `channel::` (on the
+//! derived worker count), `channel_one_worker::` and
+//! `channel_three_workers::` (through the test seam), `throttled::` and
+//! `socket::` (ci.sh's `socket::` filter selects the TCP run). What only
+//! one family can promise — TCP addresses and garbage handling, the
+//! throttle's arrival timing — stays in that family's own test module.
 
 use crate::codec::encoded_frame_len;
 use crate::runtime::{Link, PeerNetwork};
@@ -324,6 +325,14 @@ macro_rules! contract_suite {
 
 contract_suite!(channel, |n, plan| {
     crate::ThreadedNetwork::spawn_with_faults(n, plan, 0)
+});
+// The same family forced onto one shard and onto three, whatever the core
+// count: every forward a local push, and forwards crossing shards.
+contract_suite!(channel_one_worker, |n, plan| {
+    crate::ThreadedNetwork::spawn_on(1, n, plan, 0)
+});
+contract_suite!(channel_three_workers, |n, plan| {
+    crate::ThreadedNetwork::spawn_on(3, n, plan, 0)
 });
 // A wide uplink (1 GB per virtual ms) so pacing is present but negligible,
 // and the default family's jitter scale (virtual ms → wall µs).

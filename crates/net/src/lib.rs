@@ -13,12 +13,13 @@
 //! * [`transport`] — the [`Transport`] trait the publish driver needs, plus
 //!   [`publish_over`]: the ack-window/retransmission loop written once, so
 //!   retry policy cannot drift between link families.
-//! * [`runtime`] — the peer runtime: **one** actor loop (dedup, ack, trace
-//!   re-stamp, fault fate, fan-out, probe reply) and **one** driver
+//! * [`runtime`] — the peer runtime: **one** non-blocking peer step (dedup,
+//!   ack, trace re-stamp, fault fate, fan-out, probe reply), **one** pump
+//!   serving a range of peers per worker thread, and **one** driver
 //!   ([`PeerNetwork`]: spawn, handshake, publish, probe, shutdown, the
 //!   single `Transport` impl), generic over a small [`runtime::Link`]
-//!   trait. It also hosts the reference link family — one OS thread per
-//!   peer, crossbeam channels as links ([`ThreadedNetwork`]) —
+//!   trait. It also hosts the reference link family — crossbeam channels,
+//!   all peers on `max(1, cores − 1)` workers ([`ThreadedNetwork`]) —
 //!   deterministic and fast; the baseline conformance replays against.
 //! * [`codec`] — the dependency-free binary framing of `WireMsg`
 //!   (length-prefixed little-endian, magic + version header); decoding is
@@ -28,8 +29,8 @@
 //!   message a codec frame. The `wire_conformance` integration test pins
 //!   its delivery sets to the in-process reference under identical seeds.
 //! * [`throttled`] — the channel family with modelled upload bandwidth
-//!   ([`ThrottledNetwork`]): forwards cost real wall-clock time,
-//!   validating [`timing`]'s predictions.
+//!   ([`ThrottledNetwork`]): a pace policy makes forwards cost real
+//!   wall-clock time, validating [`timing`]'s predictions.
 //! * [`stats`] — per-transport wire telemetry ([`TransportStats`]):
 //!   frame/byte counters per tag, retransmissions, reconnects, garbage
 //!   frames; snapshots merge into the obs layer's Prometheus export.

@@ -1,24 +1,28 @@
-//! The peer runtime: **one** actor loop and **one** driver, generic over a
-//! [`Link`].
+//! The peer runtime: **one** step function, **one** pump and **one**
+//! driver, generic over a [`Link`].
 //!
-//! This is the stand-in for the paper's WebRTC browser peers: every peer
-//! runs on its own OS thread and forwards real `bytes::Bytes` payloads to
-//! its dissemination-tree children. What a peer *does* with a frame — dedup
-//! by publication id, ack before forwarding, re-stamp the trace context,
-//! draw the fault plan's fate per child, answer probes, stop on shutdown —
-//! is written once, in `peer_loop`. What differs between runtimes is only
-//! **how a frame reaches the next peer**, behind two small traits: [`Peers`]
-//! (the address table the driver's injections and the peers' forwards both
-//! go through) and [`Link`] (one peer's endpoint: inbound frames, events to
-//! the driver, the jitter scale, the upload pace).
+//! The stand-in for the paper's WebRTC browser peers. What a peer *does*
+//! with a frame — dedup by publication id, ack before forwarding, re-stamp
+//! the trace context, draw the fault plan's fate per child, answer probes,
+//! stop on shutdown — is written once, in [`PeerState::on_frame`]: a step
+//! that never blocks. It emits event frames for the driver and forwards
+//! stamped with the earliest wall time they may leave (the peer's uplink
+//! clock plus pace plus jitter). A **pump** runs that step for a contiguous
+//! range of peers on one worker thread: forwards inside the range are local
+//! queue pushes, delayed ones wait in a `(not_before, seq)` queue, and the
+//! rest arrives through the worker's [`Link`]. Only how a frame reaches
+//! another worker differs between runtimes, behind [`Peers`] (the address
+//! table the driver's injections and cross-worker forwards go through) and
+//! [`Link`] (one worker's endpoint: inbound frames, events to the driver).
 //!
-//! Three link families implement them: crossbeam channels ([`ChannelLink`],
-//! below — the **reference transport**: deterministic, fast, the baseline
-//! the conformance test replays against), bandwidth-throttled channels
-//! ([`crate::throttled`]) and loopback TCP ([`crate::socket`]).
+//! Three link families implement them: crossbeam channels ([`ChannelLink`]
+//! — the **reference transport**: all peers on
+//! `max(1, available_parallelism − 1)` workers, deterministic, fast), the
+//! same channels with paced uplinks ([`crate::throttled`]) and loopback TCP
+//! ([`crate::socket`]: one peer per worker, its link being one listener).
 //! [`PeerNetwork`] is the one driver — spawn, readiness handshake, publish,
 //! probe, shutdown, the single [`Transport`] impl — and the public network
-//! types are aliases of it. The loop is monomorphised per family: no `dyn`
+//! types are aliases of it. The pump is monomorphised per family: no `dyn`
 //! sits between a frame's arrival and its forwards.
 //!
 //! The runtime checks *behaviour* (every subscriber receives exactly one
@@ -29,25 +33,27 @@ use crate::codec::{encoded_frame_len, WireError};
 use crate::stats::TransportStats;
 use crate::transport::{publish_over, PeerAddr, PublishResult, Transport};
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use osn_graph::ids::to_u32;
 use osn_obs::trace::{span_id, SpanRecord};
+use osn_sim::latency::transfer_time;
 use osn_sim::{FaultPlan, FrameFate};
 use select_core::pubsub::RoutingTree;
 use select_core::wire::{children_for, TraceContext, WireMsg};
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How a link family reaches peers: the address table shared by the driver
-/// (injections) and every peer (forwards).
+/// (injections) and every worker (cross-worker forwards).
 pub trait Peers: Clone + Send + 'static {
     /// What a fan-out hands to each child: prepared once per forward, so a
     /// family that serializes does it once however many children follow.
-    type Frame;
+    type Frame: Send + Sync + 'static;
 
     /// Number of peers.
     fn count(&self) -> usize;
@@ -59,11 +65,21 @@ pub trait Peers: Clone + Send + 'static {
     /// family's links (oversized for the codec).
     fn frame(msg: WireMsg) -> Option<Self::Frame>;
 
+    /// The message in `frame`, for a hand-off inside one worker that skips
+    /// the link. Default `None`: every forward crosses the link (TCP).
+    fn unframe(_frame: &Self::Frame) -> Option<WireMsg> {
+        None
+    }
+
     /// Carries `frame` to peer `to`. Returns `false` if there is no such
     /// peer or it is no longer reachable. `stats` is for what only the
     /// family can see (TCP's session connects); frame counting is the
     /// caller's.
     fn carry(&self, to: u32, frame: &Self::Frame, stats: &TransportStats) -> bool;
+
+    /// Records that `peer` took its Shutdown: later carries to it are
+    /// refused. Default: nothing (a one-peer worker's endpoint closes).
+    fn stop(&self, _peer: u32) {}
 
     /// Releases whatever the table holds open towards the peers, once they
     /// have all exited. Default: nothing to release. TCP drops its pooled
@@ -72,9 +88,13 @@ pub trait Peers: Clone + Send + 'static {
     fn close(&self) {}
 }
 
-/// One peer's endpoint in a link family.
+/// An inbound frame and its peer. An `Err` is bytes that did not decode: it
+/// costs the sender its connection, never the peer.
+pub type Inbound = (u32, Result<WireMsg, WireError>);
+
+/// One worker's endpoint in a link family.
 pub trait Link: Send + 'static {
-    /// How this family reaches other peers.
+    /// How this family reaches other workers' peers.
     type Peers: Peers;
 
     /// Whether event frames are a lossless in-process hand-off — the one
@@ -87,34 +107,44 @@ pub trait Link: Send + 'static {
     /// Carries an event frame (join, ack, probe reply) to the driver.
     fn event(&mut self, msg: WireMsg) -> bool;
 
-    /// Blocks for the next inbound frame; `None` once nothing more will
-    /// arrive. An `Err` is bytes that did not decode: it costs the sender
-    /// its connection, never the peer — the loop counts it and keeps
-    /// serving.
-    fn recv(&mut self) -> Option<Result<WireMsg, WireError>>;
-
-    /// Wall sleep for `virtual_ms` of fault-plan jitter. Default: virtual
-    /// ms compressed to wall µs, so tests stay fast while ordering pressure
-    /// is real.
-    fn wall(&self, virtual_ms: f64) -> Duration {
-        Duration::from_micros(virtual_ms.ceil() as u64)
-    }
-
-    /// Wall time one upload of `len` payload bytes occupies this peer's
-    /// uplink before the frame leaves. Default: unpaced.
-    fn pace(&self, _len: usize) -> Duration {
-        Duration::ZERO
-    }
+    /// The next inbound frame for this worker's peers, waiting until
+    /// `deadline` at most; `Disconnected` once nothing more will arrive.
+    fn recv(&mut self, deadline: Option<Instant>) -> Result<Inbound, RecvTimeoutError>;
 }
 
-/// A network of peer actors over link family `L`: the one driver behind
+/// How long a forward waits before it leaves: the scale from virtual
+/// milliseconds (fault-plan jitter, modelled transfers) to wall time, and
+/// each peer's upload bandwidth when its uplink is paced.
+pub(crate) struct Pace {
+    /// Virtual ms per wall ms.
+    pub(crate) compression: f64,
+    /// Bytes per virtual ms, by peer; empty for unpaced uplinks.
+    pub(crate) bandwidth: Vec<f64>,
+}
+
+impl Pace {
+    /// Unpaced uplinks, jitter's virtual ms read as wall µs: tests stay
+    /// fast while ordering pressure is real.
+    pub(crate) const UNPACED: Pace = Pace {
+        compression: 1_000.0,
+        bandwidth: Vec::new(),
+    };
+}
+
+/// A worker's contiguous range of peer ids, and what its link is built from.
+pub(crate) type Shard<S> = (Range<u32>, S);
+
+/// A network of peers over link family `L`: the one driver behind
 /// [`ThreadedNetwork`], [`crate::ThrottledNetwork`] and
 /// [`crate::SocketNetwork`].
 pub struct PeerNetwork<L: Link> {
     pub(crate) peers: L::Peers,
-    /// Peer threads, yielding the spans they recorded, plus the helper
-    /// threads a family parked here (TCP's control readers, yielding none).
+    /// Worker threads, yielding the spans their peers recorded, plus the
+    /// helper threads a family parked here (TCP's control readers, yielding
+    /// none).
     pub(crate) handles: Vec<JoinHandle<Vec<SpanRecord>>>,
+    /// Worker threads the peers were spread over.
+    workers: usize,
     /// Driver-bound event frames: acks, probe replies (joins are drained
     /// by the spawn handshake).
     events: Receiver<WireMsg>,
@@ -122,9 +152,9 @@ pub struct PeerNetwork<L: Link> {
     /// Retransmission waves `publish` may use after the first ack window.
     retry_max: u32,
     drops: Arc<AtomicU64>,
-    /// Wire telemetry, shared with every peer thread. In-process links are
-    /// lossless and peers drain their queues before honouring Shutdown, so
-    /// runs that quiesce first count a pure function of the plan.
+    /// Wire telemetry, shared with every worker. In-process links are
+    /// lossless and pumps drain their queues before exiting, so runs that
+    /// quiesce first count a pure function of the plan.
     pub(crate) stats: Arc<TransportStats>,
     /// Whether publish frames are stamped with a root [`TraceContext`].
     pub(crate) tracing: bool,
@@ -134,28 +164,31 @@ pub struct PeerNetwork<L: Link> {
     /// driver processes it — a per-delivery write into a cold per-thread
     /// buffer costs ~10% of the publish path on a busy single-core box,
     /// while this vec stays cache-hot under the ack loop. TCP: the peers'
-    /// own buffers, collected when their threads are joined.
+    /// own buffers, collected when their workers are joined.
     pub(crate) spans: Vec<SpanRecord>,
 }
 
 impl<L: Link> PeerNetwork<L> {
-    /// Starts one peer thread per seat, `open` turning each seat into that
-    /// peer's link (and parking any helper thread in `handles`), then waits
-    /// for every peer's [`WireMsg::Join`], so the network is fully up before
-    /// the first publication. The struct exists before the first thread
-    /// does, so every error path tears down through `shutdown`.
+    /// Starts one worker per shard — a range of peer ids and the seat
+    /// `open` turns into that worker's link (parking any helper thread in
+    /// `handles`) — then waits for every peer's [`WireMsg::Join`], so the
+    /// network is fully up before the first publication. The struct exists
+    /// before the first thread does, so every error path tears down through
+    /// `shutdown`.
     pub(crate) fn spawn_over<S>(
         peers: L::Peers,
         events: Receiver<WireMsg>,
         plan: FaultPlan,
         retry_max: u32,
-        seats: Vec<S>,
+        pace: Pace,
+        shards: Vec<Shard<S>>,
         mut open: impl FnMut(S, &mut Self) -> io::Result<L>,
     ) -> io::Result<Self> {
-        let n = seats.len();
+        let n = peers.count();
         let mut net = PeerNetwork {
             peers,
-            handles: Vec::with_capacity(n),
+            handles: Vec::with_capacity(shards.len()),
+            workers: shards.len(),
             events,
             next_pub_id: 1,
             retry_max,
@@ -168,14 +201,29 @@ impl<L: Link> PeerNetwork<L> {
             epoch: Instant::now(),
             spans: Vec::new(),
         };
-        for (id, seat) in seats.into_iter().enumerate() {
-            let id = to_u32(id, "peer id");
+        let bandwidth = |id: u32| pace.bandwidth.get(id as usize).copied();
+        for (range, seat) in shards {
             let link = open(seat, &mut net)?;
-            let (peers, drops, stats) = (net.peers.clone(), net.drops.clone(), net.stats.clone());
-            let epoch = net.epoch;
-            net.handles.push(std::thread::spawn(move || {
-                peer_loop(id, link, &peers, plan, &drops, &stats, epoch)
-            }));
+            let pump = Pump {
+                link,
+                peers: net.peers.clone(),
+                first: range.start,
+                states: range.map(|id| PeerState::new(id, bandwidth(id))).collect(),
+                local: VecDeque::new(),
+                delayed: BTreeMap::new(),
+                seq: 0,
+                out: Outbox {
+                    plan,
+                    compression: pace.compression,
+                    drops: net.drops.clone(),
+                    stats: net.stats.clone(),
+                    epoch: net.epoch,
+                    now: None,
+                    events: Vec::new(),
+                    forwards: Vec::new(),
+                },
+            };
+            net.handles.push(std::thread::spawn(move || pump.run()));
         }
         // Readiness handshake: drain one Join per peer so no event frame
         // from a later publication can race ahead of a still-starting peer.
@@ -188,6 +236,12 @@ impl<L: Link> PeerNetwork<L> {
             }
         }
         Ok(net)
+    }
+
+    /// Worker threads serving the peers: derived from the family and the
+    /// core count, never configured.
+    pub fn workers(&self) -> usize {
+        self.workers
     }
 
     /// Publishes `payload` along `tree`, blocking until every subscriber in
@@ -391,37 +445,87 @@ impl RecentPubs {
     }
 }
 
-fn nap(d: Duration) {
-    if !d.is_zero() {
-        std::thread::sleep(d);
+/// One child's copy of a forward. The frame is shared by the whole fan-out.
+struct Forward<P: Peers> {
+    to: u32,
+    frame: Arc<P::Frame>,
+    /// Encoded size, for tx accounting.
+    bytes: u64,
+    /// Earliest wall time it may leave; `None` leaves at once.
+    not_before: Option<Instant>,
+}
+
+/// One step's surroundings: what [`PeerState::on_frame`] reads besides the
+/// peer's own state (the fault plan, the wall scale, the worker's clock)
+/// and where it writes (event frames, forwards, counters).
+pub(crate) struct Outbox<L: Link> {
+    plan: FaultPlan,
+    /// Virtual ms per wall ms, for jitter and paced uploads.
+    compression: f64,
+    drops: Arc<AtomicU64>,
+    stats: Arc<TransportStats>,
+    epoch: Instant,
+    /// The step's wall clock: read at most once per step, and only when a
+    /// forward is paced or jittered.
+    now: Option<Instant>,
+    events: Vec<WireMsg>,
+    forwards: Vec<Forward<L::Peers>>,
+}
+
+impl<L: Link> Outbox<L> {
+    fn wall(&self, virtual_ms: f64) -> Duration {
+        Duration::from_secs_f64((virtual_ms / self.compression / 1_000.0).max(0.0))
+    }
+
+    fn now(&mut self) -> Instant {
+        // selint: allow(ambient-nondet, release times of paced and jittered forwards; which frames arrive never depends on them)
+        *self.now.get_or_insert_with(Instant::now)
     }
 }
 
-/// One peer: announce, then serve frames until shutdown or close. Returns
-/// the spans it recorded (always empty on in-process links).
-fn peer_loop<L: Link>(
+/// One peer: everything a frame's handling reads or writes that belongs to
+/// the peer rather than to its worker.
+pub(crate) struct PeerState {
     id: u32,
-    mut link: L,
-    peers: &L::Peers,
-    plan: FaultPlan,
-    drops: &AtomicU64,
-    stats: &TransportStats,
-    epoch: Instant,
-) -> Vec<SpanRecord> {
-    let mut spans: Vec<SpanRecord> = Vec::new();
-    if !send_event(&mut link, stats, WireMsg::Join { peer: id }) {
-        return spans; // driver is gone; nothing to serve
+    /// Publications this peer already handled: duplicate forwards (diamond
+    /// trees, retransmissions) deliver once.
+    recent: RecentPubs,
+    /// Spans recorded peer-side (off-process families only).
+    spans: Vec<SpanRecord>,
+    /// Upload bandwidth, bytes per virtual ms; `None` for an unpaced uplink.
+    bandwidth: Option<f64>,
+    /// When the uplink has finished the uploads already scheduled on it.
+    uplink: Option<Instant>,
+    /// Took its Shutdown: serves nothing more.
+    stopped: bool,
+}
+
+impl PeerState {
+    fn new(id: u32, bandwidth: Option<f64>) -> Self {
+        PeerState {
+            id,
+            recent: RecentPubs::default(),
+            spans: Vec::new(),
+            bandwidth,
+            uplink: None,
+            stopped: false,
+        }
     }
-    // Publications this peer already handled: duplicate forwards (diamond
-    // trees, retransmissions) deliver once.
-    let mut recent = RecentPubs::default();
-    while let Some(inbound) = link.recv() {
+
+    /// Handles one inbound frame. Never blocks: what a peer sends goes into
+    /// `out`, forwards stamped with when they may leave.
+    pub(crate) fn on_frame<L: Link>(
+        &mut self,
+        inbound: Result<WireMsg, WireError>,
+        out: &mut Outbox<L>,
+    ) {
+        let id = self.id;
         let Ok(msg) = inbound else {
-            stats.note_garbage_frame();
-            stats.note_codec_error_conn();
-            continue;
+            out.stats.note_garbage_frame();
+            out.stats.note_codec_error_conn();
+            return;
         };
-        stats.record_rx(msg.tag(), encoded_frame_len(&msg));
+        out.stats.record_rx(msg.tag(), encoded_frame_len(&msg));
         match msg {
             WireMsg::Publish {
                 pub_id,
@@ -431,8 +535,8 @@ fn peer_loop<L: Link>(
                 payload,
                 trace,
             } => {
-                if !recent.first_sight(pub_id) {
-                    continue;
+                if !self.recent.first_sight(pub_id) {
+                    return;
                 }
                 // First delivery of a traced publication: echo the delivery
                 // context verbatim in the ack (the ack convention every
@@ -441,23 +545,22 @@ fn peer_loop<L: Link>(
                 // here, with the real attempt and a per-hop wall stamp.
                 let fwd_trace: Option<TraceContext> = trace.map(|ctx| {
                     if !L::IN_PROCESS {
-                        spans.push(delivery_span(ctx, id, attempt, epoch));
+                        self.spans.push(delivery_span(ctx, id, attempt, out.epoch));
                     }
                     ctx.child_of(span_id(ctx.trace_id, id))
                 });
-                let ack = WireMsg::Ack {
+                out.events.push(WireMsg::Ack {
                     pub_id,
                     peer: id,
                     bytes: payload.len() as u64,
                     trace,
-                };
-                send_event(&mut link, stats, ack);
+                });
                 let Some(kids) = children_for(&children, id) else {
-                    continue; // leaf: deliver locally, forward nothing
+                    return; // leaf: deliver locally, forward nothing
                 };
-                // Uploads serialize — each peer is one thread, like one NIC
-                // draining — so the pace is paid before *each* child.
-                let upload = link.pace(payload.len());
+                let upload = self.bandwidth.map_or(Duration::ZERO, |bw| {
+                    out.wall(transfer_time(payload.len() as u64, bw))
+                });
                 let fwd = WireMsg::Publish {
                     pub_id,
                     attempt,
@@ -468,24 +571,40 @@ fn peer_loop<L: Link>(
                 };
                 let bytes = encoded_frame_len(&fwd);
                 let Some(frame) = <L::Peers>::frame(fwd) else {
-                    continue; // unencodable (oversized) — cannot forward
+                    return; // unencodable (oversized) — cannot forward
                 };
+                let frame = Arc::new(frame);
                 for &c in kids {
+                    // Uploads serialize on the uplink, one child after the
+                    // other; a dropped upload occupies it too (the NIC
+                    // drained before the frame was lost).
+                    let sent = if upload.is_zero() {
+                        None
+                    } else {
+                        let now = out.now();
+                        let start = self.uplink.map_or(now, |t| t.max(now));
+                        self.uplink = Some(start + upload);
+                        self.uplink
+                    };
                     // The fault boundary: one fate per (publication,
                     // attempt, directed link), drop drawn first.
-                    match plan.frame_fate(pub_id, attempt, id, c) {
+                    match out.plan.frame_fate(pub_id, attempt, id, c) {
                         FrameFate::Drop => {
-                            // The uplink drained before the frame was lost.
-                            nap(upload);
-                            drops.fetch_add(1, Ordering::Relaxed);
+                            out.drops.fetch_add(1, Ordering::Relaxed);
                         }
                         FrameFate::Deliver { delay_ms } => {
-                            nap(upload + link.wall(delay_ms));
-                            // `carry` refuses malformed tree edges (no such
-                            // peer) and peers that already stopped.
-                            if peers.carry(c, &frame, stats) {
-                                stats.record_tx(6, bytes);
-                            }
+                            let jitter = out.wall(delay_ms);
+                            let not_before = match sent {
+                                Some(t) => Some(t + jitter),
+                                None if jitter.is_zero() => None,
+                                None => Some(out.now() + jitter),
+                            };
+                            out.forwards.push(Forward {
+                                to: c,
+                                frame: frame.clone(),
+                                bytes,
+                                not_before,
+                            });
                         }
                     }
                 }
@@ -494,15 +613,12 @@ fn peer_loop<L: Link>(
                 from: _,
                 nonce,
                 trace: _,
-            } => {
-                let reply = WireMsg::ProbeReply {
-                    from: id,
-                    nonce,
-                    online: true,
-                };
-                send_event(&mut link, stats, reply);
-            }
-            WireMsg::Shutdown => break,
+            } => out.events.push(WireMsg::ProbeReply {
+                from: id,
+                nonce,
+                online: true,
+            }),
+            WireMsg::Shutdown => self.stopped = true,
             // Gossip exchange frames route through the superstep engine,
             // and ack/join frames are driver-bound: a peer receiving one
             // ignores it rather than crashing the network. The list is
@@ -515,22 +631,134 @@ fn peer_loop<L: Link>(
             | WireMsg::ProbeReply { .. } => {}
         }
     }
-    spans
 }
 
-/// The channel family's address table: one sender per peer.
+/// One worker: steps the peers of a contiguous id range until every one of
+/// them took its Shutdown and nothing it owes is left queued.
+struct Pump<L: Link> {
+    link: L,
+    peers: L::Peers,
+    /// Id of `states[0]`.
+    first: u32,
+    states: Vec<PeerState>,
+    /// Forwards between peers of the range, served before the link.
+    local: VecDeque<(u32, WireMsg)>,
+    /// Forwards waiting out pace and jitter, by `(not_before, seq)`.
+    delayed: BTreeMap<(Instant, u64), Forward<L::Peers>>,
+    seq: u64,
+    out: Outbox<L>,
+}
+
+impl<L: Link> Pump<L> {
+    /// Announces every peer, then serves frames. Returns the spans the
+    /// peers recorded (always empty on in-process links).
+    fn run(mut self) -> Vec<SpanRecord> {
+        for id in self.first..self.first + to_u32(self.states.len(), "peer count") {
+            if !send_event(&mut self.link, &self.out.stats, WireMsg::Join { peer: id }) {
+                return Vec::new(); // driver is gone; nothing to serve
+            }
+        }
+        loop {
+            self.release_due();
+            let (to, inbound) = match self.local.pop_front() {
+                Some((to, msg)) => (to, Ok(msg)),
+                None if self.delayed.is_empty() && self.states.iter().all(|s| s.stopped) => break,
+                None => match self.link.recv(self.delayed.keys().next().map(|k| k.0)) {
+                    Ok(inbound) => inbound,
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => break,
+                },
+            };
+            self.step(to, inbound);
+        }
+        self.states.into_iter().flat_map(|s| s.spans).collect()
+    }
+
+    /// Hands on every delayed forward that is due.
+    fn release_due(&mut self) {
+        if self.delayed.is_empty() {
+            return;
+        }
+        // selint: allow(ambient-nondet, releases paced and jittered forwards; which frames arrive never depends on it)
+        let now = Instant::now();
+        while let Some(due) = self.delayed.first_entry().filter(|d| d.key().0 <= now) {
+            let fwd = due.remove();
+            self.forward(fwd);
+        }
+    }
+
+    /// Runs one frame through its peer's step and acts on what it emitted:
+    /// events first (ack before forward), then forwards.
+    fn step(&mut self, to: u32, inbound: Result<WireMsg, WireError>) {
+        let index = to.checked_sub(self.first).map(|i| i as usize);
+        let Some(state) = index.and_then(|i| self.states.get_mut(i)) else {
+            return;
+        };
+        if state.stopped {
+            return; // raced its peer's Shutdown: never served
+        }
+        self.out.now = None;
+        state.on_frame(inbound, &mut self.out);
+        if state.stopped {
+            self.peers.stop(to);
+        }
+        for msg in self.out.events.drain(..) {
+            send_event(&mut self.link, &self.out.stats, msg);
+        }
+        for fwd in std::mem::take(&mut self.out.forwards) {
+            match fwd.not_before {
+                Some(at) => {
+                    self.seq += 1;
+                    self.delayed.insert((at, self.seq), fwd);
+                }
+                None => self.forward(fwd),
+            }
+        }
+    }
+
+    /// Hands `fwd` to its child: a local queue push when the child is on
+    /// this worker, the link otherwise. A child that already stopped (or
+    /// does not exist) refuses it, and only accepted frames count as tx.
+    fn forward(&mut self, fwd: Forward<L::Peers>) {
+        let index = fwd.to.checked_sub(self.first).map(|i| i as usize);
+        let local = index.and_then(|i| self.states.get(i)).map(|s| s.stopped);
+        if local == Some(true) {
+            return;
+        }
+        let sent = match local.and_then(|_| <L::Peers>::unframe(&fwd.frame)) {
+            Some(msg) => {
+                self.local.push_back((fwd.to, msg));
+                true
+            }
+            None => self.peers.carry(fwd.to, &fwd.frame, &self.out.stats),
+        };
+        if sent {
+            self.out.stats.record_tx(6, fwd.bytes);
+        }
+    }
+}
+
+/// The channel family's address table: one inbox per worker.
 #[derive(Clone)]
-pub struct ChannelPeers(Arc<[Sender<WireMsg>]>);
+pub struct ChannelPeers(Arc<ChannelTable>);
+
+struct ChannelTable {
+    /// Peer `p` is served by worker `p / span`.
+    inboxes: Vec<Sender<(u32, WireMsg)>>,
+    span: usize,
+    /// Per peer: took its Shutdown.
+    stopped: Vec<AtomicBool>,
+}
 
 impl Peers for ChannelPeers {
     type Frame = WireMsg;
 
     fn count(&self) -> usize {
-        self.0.len()
+        self.0.stopped.len()
     }
 
     fn addr(&self, peer: u32) -> Option<PeerAddr> {
-        ((peer as usize) < self.0.len()).then_some(PeerAddr::InProc(peer))
+        ((peer as usize) < self.count()).then_some(PeerAddr::InProc(peer))
     }
 
     fn frame(msg: WireMsg) -> Option<WireMsg> {
@@ -540,33 +768,62 @@ impl Peers for ChannelPeers {
     /// Payload buffers are reference-counted and the child map sits behind
     /// an `Arc`, so the per-child clone is O(1) — a relay handing on a
     /// buffer it holds.
+    fn unframe(frame: &WireMsg) -> Option<WireMsg> {
+        Some(frame.clone())
+    }
+
     fn carry(&self, to: u32, frame: &WireMsg, _stats: &TransportStats) -> bool {
-        self.0
+        let table = &self.0;
+        let live = table
+            .stopped
             .get(to as usize)
-            .is_some_and(|tx| tx.send(frame.clone()).is_ok())
+            .is_some_and(|s| !s.load(Ordering::Relaxed));
+        live && table
+            .inboxes
+            .get(to as usize / table.span)
+            .is_some_and(|tx| tx.send((to, frame.clone())).is_ok())
+    }
+
+    fn stop(&self, peer: u32) {
+        if let Some(s) = self.0.stopped.get(peer as usize) {
+            s.store(true, Ordering::Relaxed);
+        }
     }
 }
 
-/// A peer endpoint on crossbeam channels: lossless, ordered, in-process.
+/// A worker endpoint on crossbeam channels: lossless, ordered, in-process.
 pub struct ChannelLink {
-    inbox: Receiver<WireMsg>,
+    inbox: Receiver<(u32, WireMsg)>,
     events: Sender<WireMsg>,
 }
 
 impl ChannelLink {
-    /// Builds the channels for `n` peers: every peer's link, the address
-    /// table reaching them, and the driver's end of the event channel.
-    pub(crate) fn fabric(n: usize) -> (Vec<ChannelLink>, ChannelPeers, Receiver<WireMsg>) {
+    /// Builds the channels for `n` peers on at most `workers` workers, each
+    /// serving a contiguous range: every worker's range and link, the
+    /// address table reaching them, and the driver's end of the event
+    /// channel.
+    pub(crate) fn fabric(
+        n: usize,
+        workers: usize,
+    ) -> (Vec<Shard<ChannelLink>>, ChannelPeers, Receiver<WireMsg>) {
         let (event_tx, events) = unbounded();
-        let (senders, inboxes): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
-        let links = inboxes
-            .into_iter()
-            .map(|inbox| ChannelLink {
-                inbox,
-                events: event_tx.clone(),
+        let span = n.div_ceil(workers.max(1)).max(1);
+        let (inboxes, shards) = (0..n)
+            .step_by(span)
+            .map(|lo| {
+                let (tx, inbox) = unbounded();
+                let range = to_u32(lo, "peer id")..to_u32((lo + span).min(n), "peer id");
+                let events = event_tx.clone();
+                (tx, (range, ChannelLink { inbox, events }))
             })
-            .collect();
-        (links, ChannelPeers(senders.into()), events)
+            .unzip();
+        let stopped = (0..n).map(|_| AtomicBool::new(false)).collect();
+        let table = ChannelTable {
+            inboxes,
+            span,
+            stopped,
+        };
+        (shards, ChannelPeers(Arc::new(table)), events)
     }
 }
 
@@ -578,32 +835,64 @@ impl Link for ChannelLink {
         self.events.send(msg).is_ok()
     }
 
-    fn recv(&mut self) -> Option<Result<WireMsg, WireError>> {
-        self.inbox.recv().ok().map(Ok)
+    fn recv(&mut self, deadline: Option<Instant>) -> Result<Inbound, RecvTimeoutError> {
+        let (to, msg) = match deadline {
+            None => self
+                .inbox
+                .recv()
+                .map_err(|_| RecvTimeoutError::Disconnected)?,
+            Some(at) => {
+                // selint: allow(ambient-nondet, waits until the earliest delayed forward is due)
+                let wait = at.saturating_duration_since(Instant::now());
+                self.inbox.recv_timeout(wait)?
+            }
+        };
+        Ok((to, Ok(msg)))
     }
 }
 
-/// A network of peer actors linked by crossbeam channels.
+/// Workers an in-process family runs `n` peers on: every core but the one
+/// the driver keeps, at least one, never more than there are peers.
+pub(crate) fn worker_count(n: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    cores.saturating_sub(1).clamp(1, n.max(1))
+}
+
+/// A network of peers linked by crossbeam channels.
 pub type ThreadedNetwork = PeerNetwork<ChannelLink>;
 
 impl ThreadedNetwork {
-    /// Spawns `n` peer actors on a fault-free network.
+    /// Spawns `n` peers on a fault-free network.
     pub fn spawn(n: usize) -> Self {
         Self::spawn_with_faults(n, FaultPlan::disabled(), 0)
     }
 
-    /// Spawns `n` peer actors whose forwards run through `plan`: before
-    /// each child send the peer draws the plan's frame fate (keyed by
+    /// Spawns `n` peers whose forwards run through `plan`: before each
+    /// child send the peer draws the plan's frame fate (keyed by
     /// publication, attempt and directed link — deterministic and
-    /// replayable): drops are discarded and counted, delay jitter sleeps
-    /// before the send (virtual ms compressed to wall µs). `retry_max`
-    /// bounds the publisher-side ack-driven retransmission waves of
+    /// replayable): drops are discarded and counted, delay jitter holds the
+    /// frame back (virtual ms compressed to wall µs). `retry_max` bounds
+    /// the publisher-side ack-driven retransmission waves of
     /// [`PeerNetwork::publish`].
     pub fn spawn_with_faults(n: usize, plan: FaultPlan, retry_max: u32) -> Self {
-        let (links, peers, events) = ChannelLink::fabric(n);
-        PeerNetwork::spawn_over(peers, events, plan, retry_max, links, |link, _| Ok(link))
-            // selint: allow(panic-path, constructor not delivery; channel links cannot fail to open or join)
-            .expect("in-process peers always open and join")
+        Self::spawn_on(worker_count(n), n, plan, retry_max)
+    }
+
+    /// [`ThreadedNetwork::spawn_with_faults`] on at most `workers` workers:
+    /// the seam that lets tests cross shards on any core count.
+    pub(crate) fn spawn_on(workers: usize, n: usize, plan: FaultPlan, retry_max: u32) -> Self {
+        let (shards, peers, events) = ChannelLink::fabric(n, workers);
+        PeerNetwork::spawn_over(
+            peers,
+            events,
+            plan,
+            retry_max,
+            Pace::UNPACED,
+            shards,
+            |link, _| Ok(link),
+        )
+        // selint: allow(panic-path, constructor not delivery; channel links cannot fail to open or join)
+        .expect("in-process peers always open and join")
     }
 }
 
@@ -731,12 +1020,174 @@ mod tests {
         }
         assert_eq!(recent.seen.len(), DEDUP_WINDOW);
         assert_eq!(recent.order.len(), DEDUP_WINDOW);
-        // A duplicate inside the window is refused — `peer_loop` then neither
+        // A duplicate inside the window is refused — `on_frame` then neither
         // acks nor forwards it (`diamond_tree_delivers_once`).
         assert!(!recent.first_sight(2_000));
         assert!(!recent.first_sight(2_001 - DEDUP_WINDOW as u64));
         assert!(recent.first_sight(2_000 - DEDUP_WINDOW as u64), "aged out");
         assert_eq!(recent.seen.len(), DEDUP_WINDOW);
+    }
+
+    #[test]
+    fn diamond_across_shards_delivers_once() {
+        // Six peers on three workers: {0, 1}, {2, 3}, {4, 5}. Peer 3 hears
+        // from 1 across shards and from 2 on its own worker; 0 → 1 and
+        // 2 → 3 are local queue pushes, every other edge crosses a shard.
+        let mut net = ThreadedNetwork::spawn_on(3, 6, FaultPlan::disabled(), 0);
+        assert_eq!(net.workers(), 3);
+        let t = tree(0, vec![vec![0, 1, 3, 4], vec![0, 2, 3, 5]]);
+        let r = net.publish(&t, Bytes::from_static(b"dd"), Duration::from_secs(10));
+        assert_eq!(r.delivered_to, HashSet::from([1, 2, 3, 4, 5]));
+        assert_eq!(r.bytes_received, 5 * 2, "the duplicate copy must not ack");
+        // The last ack can precede the duplicate copy's landing; settle.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while net.stats().snapshot().frames_rx[6] < 7 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        net.shutdown();
+        let snap = net.stats().snapshot();
+        assert_eq!(snap.frames_rx[6], 7, "inject + six tree edges");
+        assert_eq!(snap.frames_tx[6], 7);
+        assert_eq!(snap.frames_tx[7], 6, "one ack per peer, publisher included");
+    }
+
+    /// Injects a star publication whose every surviving forward waits out
+    /// at least 200 ms of jitter, shuts down at once, and snapshots the
+    /// counters and the drop total.
+    fn shutdown_amid_jitter(workers: usize) -> (crate::StatsSnapshot, u64) {
+        let plan = FaultPlan::seeded(5)
+            .with_drop_prob(0.3)
+            .with_max_delay_ms(400_000.0);
+        let pub_id = (1..10_000u64)
+            .find(|&p| {
+                let dropped = (1..=8u32).filter(|&c| plan.drops(p, 0, 0, c)).count();
+                let slow = (1..=8u32)
+                    .filter(|&c| plan.drops(p, 0, 0, c) || plan.delay_ms(p, 0, 0, c) >= 200_000.0);
+                (1..=3).contains(&dropped) && slow.count() == 8
+            })
+            .expect("such a publication within 10k draws");
+        let mut net = ThreadedNetwork::spawn_on(workers, 9, plan, 0);
+        let publish = WireMsg::Publish {
+            pub_id,
+            attempt: 0,
+            publisher: 0,
+            children: Arc::new(vec![(0, (1..=8).collect())]),
+            payload: Bytes::from_static(b"j"),
+            trace: None,
+        };
+        assert!(net.send_to(0, publish));
+        net.shutdown();
+        (net.stats().snapshot(), net.drops_injected())
+    }
+
+    #[test]
+    fn shutdown_amid_jitter_counts_the_same_on_any_shard_count() {
+        // Every child takes its Shutdown long before its jittered copy is
+        // due, so each copy is refused when released: only the injection
+        // and the publisher's own ack cross, on one worker or three.
+        let (snap, drops) = shutdown_amid_jitter(1);
+        assert_eq!((snap.frames_tx[6], snap.frames_rx[6]), (1, 1), "{snap:?}");
+        assert_eq!((snap.frames_tx[7], snap.frames_tx[8]), (1, 9), "{snap:?}");
+        assert!(drops > 0);
+        assert_eq!(shutdown_amid_jitter(1), (snap, drops), "replay");
+        assert_eq!(shutdown_amid_jitter(3), (snap, drops), "three shards");
+        assert_eq!(
+            shutdown_amid_jitter(3),
+            (snap, drops),
+            "three shards, replay"
+        );
+    }
+
+    #[test]
+    fn delayed_forwards_outlive_their_senders_shutdown() {
+        // Shard {0, 1, 2} takes its Shutdowns while its jittered forwards
+        // to the other two shards are still queued: its worker releases
+        // them before it exits, so every child still delivers.
+        let plan = FaultPlan::seeded(3).with_max_delay_ms(20_000.0);
+        let pub_id = (1..10_000u64)
+            .find(|&p| (3..9u32).all(|c| plan.delay_ms(p, 0, 0, c) >= 5_000.0))
+            .expect("such a publication within 10k draws");
+        let mut net = ThreadedNetwork::spawn_on(3, 9, plan, 0);
+        let publish = WireMsg::Publish {
+            pub_id,
+            attempt: 0,
+            publisher: 0,
+            children: Arc::new(vec![(0, (3..9).collect())]),
+            payload: Bytes::from_static(b"late"),
+            trace: None,
+        };
+        assert!(net.send_to(0, publish));
+        for peer in 0..3 {
+            assert!(net.send_to(peer, WireMsg::Shutdown));
+        }
+        let mut acked = HashSet::new();
+        while acked.len() < 7 {
+            match net.recv_event(Duration::from_secs(5)) {
+                Some(WireMsg::Ack { peer, .. }) => acked.insert(peer),
+                Some(_) => continue,
+                None => break,
+            };
+        }
+        assert_eq!(acked, (0..1).chain(3..9).collect());
+        net.shutdown();
+    }
+
+    #[test]
+    fn frames_to_a_stopped_peer_are_refused_and_not_counted() {
+        for workers in [1, 3] {
+            // Shards {0, 1}, {2, 3}, {4, 5} at three workers: 0 → 1 is a
+            // local push, 2 → 1 crosses a shard.
+            let mut net = ThreadedNetwork::spawn_on(workers, 6, FaultPlan::disabled(), 0);
+            assert!(net.send_to(1, WireMsg::Shutdown));
+            // Peer 0 shares peer 1's worker, so its reply orders after the
+            // Shutdown was taken.
+            assert_eq!(net.probe(0, 1, Duration::from_secs(5)), Some(true));
+            let before = net.stats().snapshot();
+            let probe = WireMsg::Probe {
+                from: u32::MAX,
+                nonce: 2,
+                trace: None,
+            };
+            assert!(!net.send_to(1, probe), "driver injection refused");
+            let wait = Duration::from_millis(200);
+            let r = net.publish(&tree(0, vec![vec![0, 1], vec![0, 2]]), Bytes::new(), wait);
+            assert_eq!(r.delivered_to, HashSet::from([2]));
+            let r = net.publish(&tree(2, vec![vec![2, 1], vec![2, 3]]), Bytes::new(), wait);
+            assert_eq!(r.delivered_to, HashSet::from([3]));
+            let after = net.stats().snapshot();
+            assert_eq!(after.frames_tx[4], before.frames_tx[4]);
+            assert_eq!(
+                after.frames_tx[6] - before.frames_tx[6],
+                4,
+                "two injections, two forwards"
+            );
+            net.shutdown();
+            let snap = net.stats().snapshot();
+            assert_eq!(
+                snap.frames_tx, snap.frames_rx,
+                "refused frames count nowhere"
+            );
+        }
+    }
+
+    #[test]
+    fn two_thousand_peers_share_the_derived_workers() {
+        let n = 2_000;
+        let mut net = ThreadedNetwork::spawn(n);
+        assert_eq!(net.workers(), net.handles.len());
+        assert!(
+            net.handles.len() <= worker_count(n),
+            "{} workers",
+            net.handles.len()
+        );
+        let paths = (1..n as u32).map(|c| vec![0, c]).collect();
+        let r = net.publish(
+            &tree(0, paths),
+            Bytes::from_static(b"*"),
+            Duration::from_secs(30),
+        );
+        assert_eq!(r.delivered_to.len(), n - 1);
+        net.shutdown();
     }
 
     #[test]

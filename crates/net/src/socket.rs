@@ -1,9 +1,10 @@
 //! TCP loopback link family: the wire format on real sockets.
 //!
-//! [`SocketNetwork`] runs the shared peer loop of [`crate::runtime`], but
-//! every link is a real TCP connection on `127.0.0.1` and every message
-//! crosses it as a [`crate::codec`] frame. This file owns only what is TCP
-//! about that — how a frame reaches the next peer:
+//! [`SocketNetwork`] runs the shared peer step and pump of
+//! [`crate::runtime`], one peer per worker thread, but every link is a real
+//! TCP connection on `127.0.0.1` and every message crosses it as a
+//! [`crate::codec`] frame. This file owns only what is TCP about that —
+//! how a frame reaches the next peer:
 //!
 //! * **Control plane** — while spawning, the driver opens one persistent
 //!   stream per peer to its own control listener and accepts it straight
@@ -28,16 +29,16 @@
 //!   per destination needs no readiness primitive and still removes the
 //!   connect from every frame.
 //!
-//! The shared loop applies the [`osn_sim::FaultPlan`] **at the link
+//! The shared step applies the [`osn_sim::FaultPlan`] **at the link
 //! boundary**, exactly as in-process: a dropped frame is simply never
-//! written to the socket, and delay jitter sleeps before the write. Driver
+//! written to the socket, and delay jitter holds the write back. Driver
 //! injections (retransmissions included) draw no fault decision. This keeps
 //! delivery sets bit-identical with the in-process reference under the same
 //! seed, which the `wire_conformance` integration test pins.
 //!
 //! A frame that fails to decode (garbage, truncation, bad magic) costs the
 //! peer that **connection**, never the peer itself: [`Link::recv`] drops
-//! the stream and reports the error, which the loop *counts*
+//! the stream and reports the error, which the step *counts*
 //! ([`TransportStats::note_garbage_frame`]) rather than silently
 //! swallowing, so a hostile or buggy sender shows up in the metrics
 //! snapshot.
@@ -46,19 +47,21 @@
 //! at its reader. Because the kernel schedules real connections, socket
 //! counts are best-effort ground truth, not a replayable quantity. Traced
 //! publishes are recorded peer-side — real attempt, per-hop wall stamp
-//! against the network's epoch — and handed over when the peer threads are
+//! against the network's epoch — and handed over when the workers are
 //! joined, so [`crate::Transport::drain_spans`] is complete after shutdown.
 
-use crate::codec::{encode, encoded_frame_len, read_frame, write_frame, WireError};
-use crate::runtime::{Link, PeerNetwork, Peers};
+use crate::codec::{encode, encoded_frame_len, read_frame, write_frame};
+use crate::runtime::{Inbound, Link, Pace, PeerNetwork, Peers};
 use crate::stats::TransportStats;
 use crate::transport::PeerAddr;
-use crossbeam::channel::unbounded;
+use crossbeam::channel::{unbounded, RecvTimeoutError};
+use osn_graph::ids::to_u32;
 use osn_sim::FaultPlan;
 use select_core::wire::WireMsg;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// One destination: its loopback listener and the pooled stream to it.
 struct Slot {
@@ -128,9 +131,11 @@ impl Peers for TcpPeers {
     }
 }
 
-/// A socket peer's endpoint: its own listener (served one connection at a
-/// time) plus the persistent control stream to the driver.
+/// A socket peer's endpoint, its worker's only peer: its own listener
+/// (served one connection at a time) plus the persistent control stream to
+/// the driver.
 pub struct TcpLink {
+    id: u32,
     listener: TcpListener,
     /// The data-plane connection currently being read to EOF — in steady
     /// state the one pooled session all senders share.
@@ -146,19 +151,32 @@ impl Link for TcpLink {
         write_frame(&mut self.control, &msg).is_ok()
     }
 
-    fn recv(&mut self) -> Option<Result<WireMsg, WireError>> {
+    fn recv(&mut self, deadline: Option<Instant>) -> Result<Inbound, RecvTimeoutError> {
+        if let Some(at) = deadline {
+            // A blocking reader cannot also wait on a timer: a jittered
+            // forward is paid out before reading on, as an upload would be.
+            // selint: allow(ambient-nondet, sleeps out fault-plan jitter; which frames arrive never depends on it)
+            std::thread::sleep(at.saturating_duration_since(Instant::now()));
+            return Err(RecvTimeoutError::Timeout);
+        }
         loop {
             let conn = match &mut self.conn {
                 Some(conn) => conn,
                 // A dead listener ends the peer.
-                None => self.conn.insert(self.listener.accept().ok()?.0),
+                None => {
+                    let (conn, _) = self
+                        .listener
+                        .accept()
+                        .map_err(|_| RecvTimeoutError::Disconnected)?;
+                    self.conn.insert(conn)
+                }
             };
             match read_frame(conn) {
-                Ok(Some(msg)) => return Some(Ok(msg)),
+                Ok(Some(msg)) => return Ok((self.id, Ok(msg))),
                 Ok(None) => self.conn = None, // clean EOF: next connection
                 Err(e) => {
                     self.conn = None; // garbage costs the connection
-                    return Some(Err(e));
+                    return Ok((self.id, Err(e)));
                 }
             }
         }
@@ -186,7 +204,7 @@ impl SocketNetwork {
         let control = TcpListener::bind(("127.0.0.1", 0))?;
         let control_addr = control.local_addr()?;
         // Bind every peer's listener up front so the address table is
-        // complete before any peer thread starts forwarding.
+        // complete before any worker starts forwarding.
         let listeners = (0..n)
             .map(|_| TcpListener::bind(("127.0.0.1", 0)))
             .collect::<io::Result<Vec<_>>>()?;
@@ -201,9 +219,9 @@ impl SocketNetwork {
             .collect::<io::Result<Vec<_>>>()?;
         let peers = TcpPeers(Arc::new(slots));
         let (event_tx, events) = unbounded();
-        let open = |listener: TcpListener, net: &mut Self| -> io::Result<TcpLink> {
+        let open = |(id, listener): (u32, TcpListener), net: &mut Self| -> io::Result<TcpLink> {
             // Connect and accept this peer's control stream back to back,
-            // before its thread exists: with all `n` peers connecting first
+            // before its worker exists: with all `n` peers connecting first
             // the listener's accept queue overflows past ~128 and the tail
             // waits out the kernel's 1 s SYN retransmit.
             let to_driver = TcpStream::connect(control_addr)?;
@@ -225,12 +243,17 @@ impl SocketNetwork {
                 Vec::new()
             }));
             Ok(TcpLink {
+                id,
                 listener,
                 conn: None,
                 control: to_driver,
             })
         };
-        PeerNetwork::spawn_over(peers, events, plan, retry_max, listeners, open)
+        let shards = (0..to_u32(n, "peer count"))
+            .zip(listeners)
+            .map(|(id, listener)| (id..id + 1, (id, listener)))
+            .collect();
+        PeerNetwork::spawn_over(peers, events, plan, retry_max, Pace::UNPACED, shards, open)
     }
 }
 

@@ -3,25 +3,24 @@
 //!
 //! [`crate::runtime::ThreadedNetwork`] checks *behaviour*;
 //! [`ThrottledNetwork`] additionally makes each peer's uplink cost real
-//! wall-clock time. It is the channel family with two overrides: before
-//! each child's forward the shared peer loop sleeps [`Link::pace`] =
-//! `transfer_time(payload, bw) / compression` — uploads serialize naturally
-//! because each peer is one thread — and fault-plan jitter is compressed on
-//! the same scale. A dropped upload still pays its upload time (the
-//! sender's NIC drained before the packet was lost). This lets the
+//! wall-clock time. It is the channel family under a pace policy: every
+//! forward leaves no earlier than its peer's uplink clock plus
+//! `transfer_time(payload, bw) / compression`, so a peer's uploads
+//! serialize, and fault-plan jitter is compressed on the same scale. A
+//! dropped upload still occupies the uplink (the sender's NIC drained
+//! before the packet was lost). The pump holds each forward until it is
+//! due, so one worker models many parallel uplinks. This lets the
 //! repository *validate* the virtual-time model of [`crate::timing`]: the
-//! same tree, driven by actual concurrent threads, must reproduce the
-//! model's arrival-order predictions (see the `agrees_with_transfer_sim`
-//! test).
+//! same tree, driven by real wall-clock pacing, must reproduce the model's
+//! arrival-order predictions (see the `agrees_with_transfer_sim` test).
 
-use crate::codec::WireError;
-use crate::runtime::{ChannelLink, ChannelPeers, Link, PeerNetwork};
+use crate::runtime::{worker_count, ChannelLink, ChannelPeers, Inbound, Link, Pace, PeerNetwork};
 use bytes::Bytes;
-use osn_sim::latency::transfer_time;
+use crossbeam::channel::RecvTimeoutError;
 use osn_sim::FaultPlan;
 use select_core::pubsub::RoutingTree;
 use select_core::wire::WireMsg;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One delivery observation with its wall-clock arrival.
 #[derive(Clone, Debug)]
@@ -72,33 +71,20 @@ impl TimedPublishResult {
     }
 }
 
-/// A channel endpoint whose uplink has a bandwidth.
-pub struct ThrottledLink {
-    chan: ChannelLink,
-    /// This peer's upload bandwidth, bytes per virtual ms.
-    bandwidth: f64,
-    /// Virtual ms per wall ms.
-    compression: f64,
-}
+/// The channel link under a type of its own, so throttled networks get
+/// their own constructors; the pace itself lives in the peers' uplinks.
+pub struct ThrottledLink(ChannelLink);
 
 impl Link for ThrottledLink {
     type Peers = ChannelPeers;
     const IN_PROCESS: bool = true;
 
     fn event(&mut self, msg: WireMsg) -> bool {
-        self.chan.event(msg)
+        self.0.event(msg)
     }
 
-    fn recv(&mut self) -> Option<Result<WireMsg, WireError>> {
-        self.chan.recv()
-    }
-
-    fn wall(&self, virtual_ms: f64) -> Duration {
-        Duration::from_secs_f64((virtual_ms / self.compression / 1_000.0).max(0.0))
-    }
-
-    fn pace(&self, len: usize) -> Duration {
-        self.wall(transfer_time(len as u64, self.bandwidth))
+    fn recv(&mut self, deadline: Option<Instant>) -> Result<Inbound, RecvTimeoutError> {
+        self.0.recv(deadline)
     }
 }
 
@@ -109,7 +95,7 @@ impl ThrottledNetwork {
     /// Spawns `n` actors with the given per-peer bandwidths (bytes per
     /// virtual ms). `compression` divides virtual milliseconds into wall
     /// microseconds·1000/compression — e.g. `compression = 1000` turns a
-    /// 960 ms virtual transfer into ~1 ms of wall sleep.
+    /// 960 ms virtual transfer into ~1 ms of wall time on the uplink.
     ///
     /// # Panics
     /// Panics if `bandwidth.len() != n` or `compression <= 0`.
@@ -119,7 +105,7 @@ impl ThrottledNetwork {
 
     /// Like [`ThrottledNetwork::spawn`], but each upload additionally runs
     /// through `plan` under the shared fate rule: a dropped transmission
-    /// still pays its upload sleep and the plan's delay jitter stretches a
+    /// still occupies the uplink and the plan's delay jitter stretches a
     /// delivered one, so fault-induced latency shows up in arrival times,
     /// not just in missing deliveries.
     ///
@@ -133,14 +119,13 @@ impl ThrottledNetwork {
     ) -> Self {
         assert_eq!(bandwidth.len(), n, "one bandwidth per peer");
         assert!(compression > 0.0);
-        let (links, peers, events) = ChannelLink::fabric(n);
-        let seats = links.into_iter().zip(bandwidth).collect();
-        PeerNetwork::spawn_over(peers, events, plan, 0, seats, |(chan, bandwidth), _| {
-            Ok(ThrottledLink {
-                chan,
-                bandwidth,
-                compression,
-            })
+        let (shards, peers, events) = ChannelLink::fabric(n, worker_count(n));
+        let pace = Pace {
+            compression,
+            bandwidth,
+        };
+        PeerNetwork::spawn_over(peers, events, plan, 0, pace, shards, |chan, _| {
+            Ok(ThrottledLink(chan))
         })
         // selint: allow(panic-path, constructor not delivery; channel links cannot fail to open or join)
         .expect("in-process peers always open and join")

@@ -20,9 +20,9 @@
 //!
 //! Transport replay (demo): `--transport inproc|tcp` additionally replays
 //! each demo publication's routing tree over a real message-passing
-//! transport — one OS thread per peer speaking the binary wire format, over
-//! crossbeam channels (`inproc`) or loopback TCP sockets (`tcp`, see
-//! DESIGN.md §12) — with the same fault plan applied at the transport
+//! transport — peers speaking the binary wire format over crossbeam
+//! channels (`inproc`, many peers per worker thread) or loopback TCP sockets
+//! (`tcp`, one thread per peer; see DESIGN.md §12) — with the same fault plan applied at the transport
 //! boundary, and reports delivered counts and wall latency per publication.
 //!
 //! Observability (demo and churn): `--metrics-out FILE` writes the publish
@@ -406,11 +406,10 @@ fn replay_over_transport(
     let retry_max = opts.retries as u32;
     let (name, mut transport): (&'static str, Box<dyn Transport>) = match kind {
         TransportKind::Inproc => {
-            eprintln!("[select] replaying over in-process channel transport ({n} peer threads)");
-            (
-                "inproc",
-                Box::new(ThreadedNetwork::spawn_with_faults(n, plan, retry_max)),
-            )
+            let net = ThreadedNetwork::spawn_with_faults(n, plan, retry_max);
+            eprintln!("[select] replaying over in-process channel transport");
+            eprintln!("[select] inproc: {n} peers on {} workers", net.workers());
+            ("inproc", Box::new(net))
         }
         TransportKind::Tcp => {
             eprintln!("[select] replaying over loopback TCP transport ({n} peer sockets)");
