@@ -9,7 +9,7 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "==> selint (workspace determinism/invariant lints must be clean)"
+echo "==> selint (call-graph lints L3 hotpath-alloc and L6 lock-order must be clean)"
 cargo run -q --offline -p selint
 
 echo "==> selint --json report artifact (selint_report.json)"
@@ -34,8 +34,32 @@ expect_findings() {
 echo "==> selint negative control (the seeded fixture must trip every rule)"
 expect_findings "violations fixture" crates/selint/fixtures/violations.rs
 
-echo "==> selint negative control (wirespace tree: unhandled WireMsg variant)"
-expect_findings "wirespace fixture" crates/selint/fixtures/wirespace
+# The determinism rules selint used to carry (L1 unordered-iter, L2
+# ambient-nondet, L4 panic-path, L5 wire-exhaustive, L7 cast-audit) are
+# clippy lints now; their fixture crate must fail and name every lint, or
+# a clippy.toml key or lint level stopped biting.
+echo "==> clippy negative control (the fixture crate must trip every migrated lint)"
+mkdir -p target
+set +e
+cargo clippy -q --offline --all-targets --message-format=json \
+    --manifest-path crates/selint/fixtures/clippy/Cargo.toml \
+    --target-dir target/clippy-fixture -- -D warnings > target/clippy-fixture.json 2>/dev/null
+_code=$?
+set -e
+if [ "$_code" -eq 0 ]; then
+    echo "clippy negative control exited 0 (want findings)" >&2
+    exit 1
+fi
+for lint in clippy::disallowed_types clippy::disallowed_methods \
+    clippy::indexing_slicing clippy::unwrap_used clippy::expect_used clippy::panic \
+    clippy::unreachable clippy::todo clippy::unimplemented clippy::wildcard_enum_match_arm \
+    clippy::cast_possible_truncation clippy::cast_possible_wrap clippy::cast_sign_loss \
+    unfulfilled_lint_expectations; do
+    if ! grep -q "\"code\":\"$lint\"" target/clippy-fixture.json; then
+        echo "clippy negative control did not report $lint" >&2
+        exit 1
+    fi
+done
 
 echo "==> cargo bench --no-run (benches must keep compiling)"
 cargo bench --no-run --workspace --offline

@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use select_core::pubsub::DisseminationReport;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// OMen baseline system.
@@ -85,8 +85,8 @@ impl OMenPubSub {
 
     /// Connected components of `roster` over the current TCO links.
     fn components(&self, roster: &[u32]) -> Vec<Vec<u32>> {
-        let set: HashSet<u32> = roster.iter().copied().collect();
-        let mut seen: HashSet<u32> = HashSet::new();
+        let set: BTreeSet<u32> = roster.iter().copied().collect();
+        let mut seen: BTreeSet<u32> = BTreeSet::new();
         let mut comps = Vec::new();
         for &m in roster {
             if seen.contains(&m) {
@@ -187,8 +187,8 @@ impl OMenPubSub {
 
     /// BFS dissemination paths from `b` over TCO links restricted to online
     /// topic members.
-    fn tco_paths(&self, b: u32, members: &HashSet<u32>) -> HashMap<u32, Vec<u32>> {
-        let mut parent: HashMap<u32, u32> = HashMap::new();
+    fn tco_paths(&self, b: u32, members: &BTreeSet<u32>) -> BTreeMap<u32, Vec<u32>> {
+        let mut parent: BTreeMap<u32, u32> = BTreeMap::new();
         parent.insert(b, b);
         // BFS visit order, so path construction iterates deterministically
         // instead of walking `parent` in hash order.
@@ -204,7 +204,7 @@ impl OMenPubSub {
                 }
             }
         }
-        let mut paths = HashMap::new();
+        let mut paths = BTreeMap::new();
         for &v in &order {
             let mut path = vec![v];
             let mut cur = v;
@@ -294,7 +294,7 @@ impl PubSubSystem for OMenPubSub {
 
     fn publish(&self, b: u32) -> DisseminationReport {
         let subs = self.subscribers_of(b);
-        let mut members: HashSet<u32> = subs.iter().copied().collect();
+        let mut members: BTreeSet<u32> = subs.iter().copied().collect();
         members.insert(b);
         let flooded = self.tco_paths(b, &members);
         aggregate_publication(b, &subs, |s| match flooded.get(&s) {

@@ -21,7 +21,7 @@ use osn_overlay::{route_greedy, RingId, RouteOutcome, SymphonyOverlay, Topology}
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use select_core::pubsub::DisseminationReport;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// Vitis baseline system.
@@ -163,8 +163,8 @@ impl VitisPubSub {
     }
 
     /// Cluster members of topic `b`: the publisher plus his friends.
-    fn cluster_of(&self, b: u32) -> HashSet<u32> {
-        let mut c: HashSet<u32> = self
+    fn cluster_of(&self, b: u32) -> BTreeSet<u32> {
+        let mut c: BTreeSet<u32> = self
             .graph
             .neighbors(UserId(b))
             .iter()
@@ -176,8 +176,8 @@ impl VitisPubSub {
 
     /// BFS paths from `b` over cluster links restricted to online cluster
     /// members.
-    fn cluster_paths(&self, b: u32, cluster: &HashSet<u32>) -> HashMap<u32, Vec<u32>> {
-        let mut parent: HashMap<u32, u32> = HashMap::new();
+    fn cluster_paths(&self, b: u32, cluster: &BTreeSet<u32>) -> BTreeMap<u32, Vec<u32>> {
+        let mut parent: BTreeMap<u32, u32> = BTreeMap::new();
         let mut queue = VecDeque::new();
         queue.push_back(b);
         parent.insert(b, b);
@@ -193,7 +193,7 @@ impl VitisPubSub {
                 }
             }
         }
-        let mut paths = HashMap::new();
+        let mut paths = BTreeMap::new();
         for &v in &order {
             let mut path = vec![v];
             let mut cur = v;

@@ -100,7 +100,10 @@ struct PhaseNanos {
 /// Nanoseconds since `*mark`, which moves to now: consecutive laps split a
 /// span into contiguous phases.
 fn lap(mark: &mut Instant) -> u64 {
-    // selint: allow(ambient-nondet, phase timers are wall-clock telemetry only; never feed protocol state)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "phase timers are wall-clock telemetry only; never feed protocol state"
+    )]
     let now = Instant::now();
     let nanos = (now - *mark).as_nanos() as u64;
     *mark = now;
@@ -272,7 +275,10 @@ impl SelectNetwork {
 
     /// Runs one gossip round and reports its full [`RoundTelemetry`].
     pub fn gossip_round_telemetry(&mut self) -> RoundTelemetry {
-        // selint: allow(ambient-nondet, wall-clock telemetry only; never feeds protocol state)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock telemetry only; never feeds protocol state"
+        )]
         let started = Instant::now();
         let mut mark = started;
         let threads = self.cfg.resolved_threads();
@@ -508,7 +514,10 @@ impl SelectNetwork {
     /// friendship bitmaps, then the coverage/strength tail.
     #[hotpath]
     fn propose_lsh_links(&self, p: u32, scratch: &mut LinkScratch) -> LinkProposal {
-        // selint: allow(ambient-nondet, phase timers are wall-clock telemetry only; never feed protocol state)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "phase timers are wall-clock telemetry only; never feed protocol state"
+        )]
         let mut mark = Instant::now();
         scratch.load(self, p);
         scratch.phase.rows += lap(&mut mark);
@@ -740,7 +749,10 @@ impl SelectNetwork {
     /// `stability_window` consecutive rounds, or `max_rounds` elapse. The
     /// report carries the full per-round [`ConvergenceTelemetry`].
     pub fn converge(&mut self, max_rounds: usize) -> ConvergenceReport {
-        // selint: allow(ambient-nondet, wall-clock telemetry only; never feeds protocol state)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock telemetry only; never feeds protocol state"
+        )]
         let started = Instant::now();
         let mut telemetry = ConvergenceTelemetry::new(self.cfg.resolved_threads());
         let mut quiet = 0usize;
@@ -1180,7 +1192,7 @@ mod tests {
         /// iteration rescans each unpicked friend's whole CSR row against a
         /// coverage set.
         fn propose_lsh_links_by_scan(n: &SelectNetwork, p: u32) -> LinkProposal {
-            use std::collections::HashSet;
+            use std::collections::BTreeSet;
             let neighbourhood = n.online_friends(p);
             let mut select = SelectionScratch::default();
             let mut targets = create_links_from_bitmaps(
@@ -1221,7 +1233,7 @@ mod tests {
                     .filter(|q| neighbourhood.binary_search(q).is_ok())
                     .chain(std::iter::once(f))
             };
-            let mut covered: HashSet<u32> = targets.iter().flat_map(|&t| reach(t)).collect();
+            let mut covered: BTreeSet<u32> = targets.iter().flat_map(|&t| reach(t)).collect();
             let ranked = n.strengths.live_ranked(p);
             loop {
                 let mut best: Option<(usize, u32)> = None;

@@ -235,12 +235,6 @@ impl SelectNetwork {
         &self.graph
     }
 
-    /// The shared handle to the social graph; clone it to build another
-    /// system over the same data set without copying the CSR arrays.
-    pub fn graph_arc(&self) -> &Arc<SocialGraph> {
-        &self.graph
-    }
-
     /// The active configuration.
     pub fn config(&self) -> &SelectConfig {
         &self.cfg

@@ -401,13 +401,19 @@ impl ProtocolNetwork {
     /// protocol has no LSH-budget accounting (link selection happens inside
     /// each peer's cache), so the bucket counters stay zero.
     pub fn converge_telemetry(&mut self, max_rounds: usize) -> ConvergenceTelemetry {
-        // selint: allow(ambient-nondet, wall-clock telemetry only; never feeds protocol state)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock telemetry only; never feeds protocol state"
+        )]
         let started = Instant::now();
         let mut tel = ConvergenceTelemetry::new(1);
         let window = self.net.config().stability_window;
         let mut quiet = 0;
         for round in 1..=max_rounds {
-            // selint: allow(ambient-nondet, wall-clock telemetry only; never feeds protocol state)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock telemetry only; never feeds protocol state"
+            )]
             let round_start = Instant::now();
             let s = self.round();
             tel.rounds.push(RoundTelemetry {

@@ -366,20 +366,6 @@ impl SelectNetwork {
         })
     }
 
-    /// [`Self::disseminate_at`] with an [`Observer`] attached (see
-    /// [`Self::publish_observed`]).
-    pub fn disseminate_observed(
-        &self,
-        b: u32,
-        subscribers: Vec<u32>,
-        nonce: u64,
-        obs: &mut Observer,
-    ) -> DisseminationReport {
-        PUBLISH_SCRATCH.with(|cell| {
-            self.disseminate_scratch(&mut cell.borrow_mut(), b, &subscribers, nonce, Some(obs))
-        })
-    }
-
     /// Fills `out` with the planned delivery path for subscriber `s`
     /// (`out[0] == b`, `out.last() == s`) from the BFS parents recorded in
     /// `scr`, falling back to [`Self::lookup`] for unreached subscribers.

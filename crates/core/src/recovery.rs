@@ -67,7 +67,10 @@ struct ProbeReport(Vec<(u32, bool)>);
 impl SelectNetwork {
     /// Runs one probe round over every online peer's long links.
     pub fn probe_round(&mut self) -> RecoveryReport {
-        // selint: allow(ambient-nondet, wall-clock telemetry; RecoveryReport equality excludes wall_nanos)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock telemetry; RecoveryReport equality excludes wall_nanos"
+        )]
         let started = Instant::now();
         let threads = self.cfg.resolved_threads();
         let mut report = RecoveryReport::default();

@@ -231,7 +231,7 @@ mod tests {
         }
 
         /// Model check: across publications that straddle the epoch wrap,
-        /// the stamped arena agrees with a naive HashMap/HashSet per
+        /// the stamped arena agrees with a naive BTreeMap/BTreeSet per
         /// publication — membership, parent/depth values and the insertion
         /// order of `reached()`.
         #[test]
@@ -243,12 +243,12 @@ mod tests {
             ),
             splits in proptest::collection::vec(0usize..40, 0..6),
         ) {
-            use std::collections::{HashMap, HashSet};
+            use std::collections::{BTreeMap, BTreeSet};
             let mut s = PublishScratch::default();
             s.begin(12);
             s.epoch = u32::MAX - start_back;
-            let mut subs: HashSet<u32> = HashSet::new();
-            let mut parents: HashMap<u32, (u32, usize)> = HashMap::new();
+            let mut subs: BTreeSet<u32> = BTreeSet::new();
+            let mut parents: BTreeMap<u32, (u32, usize)> = BTreeMap::new();
             let mut reached: Vec<u32> = Vec::new();
             for (i, &(v, parent, depth, is_sub)) in ops.iter().enumerate() {
                 if splits.contains(&i) {

@@ -27,6 +27,12 @@
 //! on the wire, not by this enum's memory layout. This module only fixes the
 //! vocabulary and the discriminants.
 
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
+
 use crate::pubsub::RoutingTree;
 use bytes::Bytes;
 use osn_overlay::RingId;

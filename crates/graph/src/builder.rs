@@ -38,11 +38,6 @@ impl GraphBuilder {
         self.num_nodes
     }
 
-    /// Number of raw (possibly duplicate) edges added so far.
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Grows the node count to at least `n`.
     pub fn ensure_nodes(&mut self, n: usize) {
         self.num_nodes = self.num_nodes.max(n);
@@ -60,13 +55,6 @@ impl GraphBuilder {
         );
         if u != v {
             self.edges.push(if u < v { (u, v) } else { (v, u) });
-        }
-    }
-
-    /// Bulk-adds edges from an iterator.
-    pub fn extend_edges(&mut self, it: impl IntoIterator<Item = (UserId, UserId)>) {
-        for (u, v) in it {
-            self.add_edge(u, v);
         }
     }
 
@@ -180,6 +168,10 @@ impl CsrStream {
     /// # Panics
     /// Panics if the stream is not sealed, an endpoint is out of range, or
     /// a node receives more edges than it was counted for.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "slot < offsets[a + 1] (asserted below), an index into `adjacency`"
+    )]
     pub fn fill_edge(&mut self, u: u32, v: u32) {
         assert!(self.sealed, "fill_edge before seal");
         if u == v {
@@ -227,6 +219,10 @@ impl CsrStream {
 /// Sorts, deduplicates and compacts raw scattered adjacency rows in place,
 /// returning the final exclusive offsets. Shared by [`GraphBuilder::build`]
 /// and [`CsrStream::finish`].
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "offsets index `adjacency`, a Vec, so each one fits in usize"
+)]
 fn compact_rows(offsets_raw: &[u64], adjacency: &mut Vec<UserId>) -> Vec<u64> {
     let n = offsets_raw.len() - 1;
     let mut offsets = vec![0u64; n + 1];
@@ -256,6 +252,7 @@ fn compact_rows(offsets_raw: &[u64], adjacency: &mut Vec<UserId>) -> Vec<u64> {
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation)] // tests are exempt
 mod tests {
     use super::*;
 

@@ -72,6 +72,10 @@ impl SocialGraph {
     }
 
     /// The sorted neighbour list of `u`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "offsets index `adjacency`, a Vec, so each one fits in usize"
+    )]
     #[inline]
     pub fn neighbors(&self, u: UserId) -> &[UserId] {
         let lo = self.offsets[u.index()] as usize;
@@ -80,6 +84,10 @@ impl SocialGraph {
     }
 
     /// Degree of `u`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "offsets index `adjacency`, a Vec, so each one fits in usize"
+    )]
     #[inline]
     pub fn degree(&self, u: UserId) -> usize {
         (self.offsets[u.index() + 1] - self.offsets[u.index()]) as usize
@@ -101,6 +109,10 @@ impl SocialGraph {
     }
 
     /// First adjacency slot of `u`'s neighbour list in the flat edge space.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "offsets index `adjacency`, a Vec, so each one fits in usize"
+    )]
     #[inline]
     pub fn neighbor_base(&self, u: UserId) -> usize {
         self.offsets[u.index()] as usize
@@ -214,6 +226,7 @@ impl SocialGraph {
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation)] // tests are exempt
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;

@@ -75,16 +75,6 @@ impl Dataset {
         }
     }
 
-    /// Directed connection count of the real snapshot (Table II).
-    pub fn paper_connections(self) -> usize {
-        match self {
-            Dataset::Facebook => 817_090,
-            Dataset::Twitter => 294_865_207,
-            Dataset::Slashdot => 948_463,
-            Dataset::GooglePlus => 13_673_453,
-        }
-    }
-
     /// Average degree of the real snapshot (Table II).
     pub fn paper_average_degree(self) -> f64 {
         match self {
@@ -98,11 +88,21 @@ impl Dataset {
     /// The aggregate attachment parameter that reproduces the average degree
     /// (`avg ≈ 2m`); split between intra- and inter-community edges by
     /// `INTER_FRACTION` when generating.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "Table II average degrees are positive and small; `as` saturates"
+    )]
     pub fn attachment_m(self) -> usize {
         ((self.paper_average_degree() / 2.0).round() as usize).max(1)
     }
 
     /// Intra-community attachment parameter.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "Table II average degrees are positive and small; `as` saturates"
+    )]
     fn m_in(self) -> usize {
         (((1.0 - INTER_FRACTION) * self.paper_average_degree() / 2.0).round() as usize).max(1)
     }
@@ -111,6 +111,11 @@ impl Dataset {
     /// paper_users` rounded half-up, floored at 64 nodes. Rounding used to
     /// truncate toward zero, so documented scaled sizes came out one short
     /// of the advertised n (e.g. Slashdot at 1% gave 821, not 822).
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "scale in (0, 1] (asserted), so the product lies in [0, paper_users]"
+    )]
     pub fn scaled_users(self, scale: f64) -> usize {
         assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
         (((self.paper_users() as f64 * scale) + 0.5).floor() as usize).max(64)
@@ -142,12 +147,6 @@ impl Dataset {
         let m_in = self.m_in().max(1).min(room);
         let inter = (self.paper_average_degree() / 2.0 - m_in as f64).max(0.0);
         CommunityBa::new(n, m_in, inter, CLOSURE_P, COMMUNITY_SIZE).generate(seed)
-    }
-
-    /// Generates the full-size preset. Twitter at full size allocates
-    /// hundreds of millions of adjacency entries — release mode only.
-    pub fn generate_full(self, seed: u64) -> SocialGraph {
-        self.generate_with_nodes(self.paper_users(), seed)
     }
 
     /// Paper-vs-generated calibration report at the given scale.

@@ -38,11 +38,6 @@ impl BarabasiAlbert {
         assert!((0.0..=1.0).contains(&closure_p));
         BarabasiAlbert { n, m, closure_p }
     }
-
-    /// Edges attached by each arriving node.
-    pub fn edges_per_arrival(&self) -> usize {
-        self.m
-    }
 }
 
 impl Generator for BarabasiAlbert {

@@ -63,6 +63,11 @@ impl Generator for PlantedPartition {
             let log1mp = (1.0 - p).ln();
             loop {
                 // Draw the gap to the next success.
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    clippy::cast_sign_loss,
+                    reason = "ln r / ln(1 - p) >= 0 for r, 1 - p in (0, 1); a saturated gap ends the loop"
+                )]
                 let gap = if p >= 1.0 {
                     0
                 } else {
@@ -74,6 +79,10 @@ impl Generator for PlantedPartition {
                     break;
                 }
                 let (u, v) = pair_from_index(n as u64, idx);
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "pair_from_index returns u, v < n, a usize node count"
+                )]
                 let (u, v) = (
                     UserId::from_index(u as usize),
                     UserId::from_index(v as usize),

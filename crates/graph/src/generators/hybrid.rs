@@ -128,6 +128,10 @@ impl<'g> EndpointIndex<'g> {
     }
 
     /// Length of the virtual endpoint list (`2 × num_edges`).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "2 x the intra edge count is the length of the CSR's adjacency Vec"
+    )]
     fn len(&self) -> usize {
         (*self.half_prefix.last().unwrap() * 2) as usize
     }
@@ -145,6 +149,10 @@ impl<'g> EndpointIndex<'g> {
         let uid = UserId::from_index(u);
         let row = self.graph.neighbors(uid);
         let start = row.partition_point(|&x| x <= uid);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "j < the row length: edge e belongs to u's half row"
+        )]
         let j = (e - self.half_prefix[u]) as usize;
         row[start + j].0
     }
@@ -175,6 +183,11 @@ impl Generator for CommunityBa {
         // list of the intra CSR, consuming the RNG exactly like the old
         // materialized list, so generated graphs are bit-identical.
         let endpoints = EndpointIndex::new(&intra);
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "n x inter_per_node / 2 is positive here (<= 0 returned above)"
+        )]
         let want = (self.n as f64 * self.inter_per_node / 2.0).round() as usize;
         let mut inter: Vec<(u32, u32)> = Vec::with_capacity(want);
         let mut attempts = 0usize;

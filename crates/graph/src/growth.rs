@@ -64,6 +64,11 @@ impl GrowthModel {
     }
 
     /// Arrivals scheduled for iteration `t` (always at least 1).
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "initial_rate >= 1 and decay >= 0 (asserted), so the rate lies in (0, initial_rate]"
+    )]
     pub fn arrivals_at(&self, t: usize) -> usize {
         ((self.initial_rate * (-self.decay * t as f64).exp()).ceil() as usize).max(1)
     }

@@ -115,6 +115,7 @@ pub fn save_edge_list(graph: &SocialGraph, path: impl AsRef<Path>) -> std::io::R
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation)] // tests are exempt
 mod tests {
     use super::*;
 

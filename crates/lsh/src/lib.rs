@@ -6,13 +6,10 @@
 //! then establishes at most one long-range link per bucket — picking links
 //! from "different zones of the overlay and avoid\[ing\] link overlap".
 //!
-//! Two classic families are provided (Gionis/Indyk/Motwani, VLDB'99):
-//!
-//! * [`BitSampling`] — Hamming-distance LSH: a hash is a random sample of bit
-//!   positions; collision probability is `1 − h/d` per sampled bit.
-//! * [`MinHash`] — Jaccard-similarity LSH over the set view of the bitmap.
-//!
-//! Both are deterministic given a seed, and identical bitmaps always collide
+//! The family is [`BitSampling`] (Gionis/Indyk/Motwani, VLDB'99) —
+//! Hamming-distance LSH: a hash is a random sample of bit positions;
+//! collision probability is `1 − h/d` per sampled bit. It is deterministic
+//! given a seed, and identical bitmaps always collide
 //! (a property the recovery mechanism relies on when it swaps an unresponsive
 //! peer for another member of the same bucket).
 
@@ -24,5 +21,5 @@ pub mod family;
 pub mod index;
 
 pub use bitmap::Bitmap;
-pub use family::{BitSampling, LshFamily, MinHash};
+pub use family::{BitSampling, LshFamily};
 pub use index::LshIndex;

@@ -33,6 +33,17 @@
 //! losslessly with `trace: None`. Tags are append-only (see
 //! [`select_core::wire::WireMsg::tag`]).
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use bytes::Bytes;
 use select_core::wire::{ChildMap, TraceContext, WireMsg};
 use std::io::{Read, Write};
@@ -139,7 +150,10 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 fn put_vec_u32(out: &mut Vec<u8>, v: &[u32]) {
-    // selint: allow(cast-audit, a wrapped length implies a >16GiB body, which encode_into rejects via MAX_FRAME before the frame leaves)
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a wrapped length implies a >16GiB body, which encode_into rejects via MAX_FRAME before the frame leaves"
+    )]
     put_u32(out, v.len() as u32);
     for &x in v {
         put_u32(out, x);
@@ -214,13 +228,19 @@ fn encode_body(msg: &WireMsg, out: &mut Vec<u8>) {
             put_u64(out, *pub_id);
             put_u32(out, *attempt);
             put_u32(out, *publisher);
-            // selint: allow(cast-audit, child-map size is bounded by the MAX_FRAME check in encode_into)
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "child-map size is bounded by the MAX_FRAME check in encode_into"
+            )]
             put_u32(out, children.len() as u32);
             for (peer, kids) in children.iter() {
                 put_u32(out, *peer);
                 put_vec_u32(out, kids);
             }
-            // selint: allow(cast-audit, payload length is bounded by the MAX_FRAME check in encode_into)
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "payload length is bounded by the MAX_FRAME check in encode_into"
+            )]
             put_u32(out, payload.len() as u32);
             out.extend_from_slice(payload);
             put_trace(out, trace);
@@ -505,6 +525,10 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<WireMsg>, WireError> {
     let mut len_bytes = [0u8; 4];
     let mut filled = 0;
     while filled < len_bytes.len() {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "filled < len_bytes.len() by the loop condition"
+        )]
         let n = match r.read(&mut len_bytes[filled..]) {
             Ok(n) => n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -529,8 +553,10 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<WireMsg>, WireError> {
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_possible_truncation)] // tests are exempt
 mod tests {
     use super::*;
+    use crate::stats::TAG_SLOTS;
     use osn_overlay::RingId;
 
     fn sample_msgs() -> Vec<WireMsg> {
@@ -603,14 +629,32 @@ mod tests {
         ]
     }
 
+    /// The `match` has no `_` arm: a new variant does not compile until it
+    /// is named here, and the tag set must then reach the last stats slot,
+    /// so `sample_msgs` must carry it and its decode arm gets exercised.
     #[test]
     fn every_variant_round_trips() {
+        let mut tags = std::collections::BTreeSet::new();
         for msg in sample_msgs() {
+            let tag = match msg {
+                WireMsg::Join { .. } => 1,
+                WireMsg::ExchangeRt { .. } => 2,
+                WireMsg::ExchangeReply { .. } => 3,
+                WireMsg::Probe { .. } => 4,
+                WireMsg::ProbeReply { .. } => 5,
+                WireMsg::Publish { .. } => 6,
+                WireMsg::Ack { .. } => 7,
+                WireMsg::Shutdown => 8,
+            };
+            assert_eq!(tag, msg.tag(), "{msg:?}");
+            tags.insert(tag);
             let frame = encode(&msg).unwrap();
             let (back, used) = decode(&frame).unwrap();
             assert_eq!(used, frame.len(), "{msg:?}");
             assert_eq!(back, msg);
         }
+        let every_tag: std::collections::BTreeSet<u8> = (1..TAG_SLOTS as u8).collect();
+        assert_eq!(tags, every_tag, "sample_msgs misses a variant");
     }
 
     #[test]

@@ -37,9 +37,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::cast_possible_truncation,
+    clippy::cast_possible_wrap,
+    clippy::cast_sign_loss
+)]
 
 pub mod codec;
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests are exempt
 mod contract;
 pub mod runtime;
 pub mod socket;

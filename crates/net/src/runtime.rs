@@ -29,6 +29,17 @@
 //! copy, forwarding follows the tree, concurrent publications don't
 //! interfere); timing fidelity is the job of [`crate::timing`].
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use crate::codec::{encoded_frame_len, WireError};
 use crate::stats::TransportStats;
 use crate::transport::{publish_over, PeerAddr, PublishResult, Transport};
@@ -197,7 +208,10 @@ impl<L: Link> PeerNetwork<L> {
             tracing: false,
             // One shared epoch makes cross-peer span deltas meaningful.
             // Wall time is a measurement here, never a protocol decision.
-            // selint: allow(ambient-nondet, span wall stamps; canonical trace trees exclude them)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "span wall stamps; canonical trace trees exclude them"
+            )]
             epoch: Instant::now(),
             spans: Vec::new(),
         };
@@ -272,10 +286,16 @@ impl<L: Link> PeerNetwork<L> {
         if !self.send_to(peer, probe) {
             return None;
         }
-        // selint: allow(ambient-nondet, real-I/O probe deadline; the reply itself is plan-independent)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "real-I/O probe deadline; the reply itself is plan-independent"
+        )]
         let deadline = Instant::now() + timeout;
         loop {
-            // selint: allow(ambient-nondet, countdown against the waived deadline above)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "countdown against the waived deadline above"
+            )]
             let remaining = deadline.saturating_duration_since(Instant::now());
             match self.recv_event(remaining) {
                 Some(WireMsg::ProbeReply {
@@ -409,6 +429,10 @@ fn delivery_span(ctx: TraceContext, peer: u32, attempt: u32, epoch: Instant) -> 
         peer,
         hop: ctx.hop,
         attempt,
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "microseconds since the epoch overflow u64 only after 584,000 years"
+        )]
         wall_us: epoch.elapsed().as_micros() as u64,
     }
 }
@@ -477,8 +501,11 @@ impl<L: Link> Outbox<L> {
         Duration::from_secs_f64((virtual_ms / self.compression / 1_000.0).max(0.0))
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "release times of paced and jittered forwards; which frames arrive never depends on them"
+    )]
     fn now(&mut self) -> Instant {
-        // selint: allow(ambient-nondet, release times of paced and jittered forwards; which frames arrive never depends on them)
         *self.now.get_or_insert_with(Instant::now)
     }
 }
@@ -679,7 +706,10 @@ impl<L: Link> Pump<L> {
         if self.delayed.is_empty() {
             return;
         }
-        // selint: allow(ambient-nondet, releases paced and jittered forwards; which frames arrive never depends on it)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "releases paced and jittered forwards; which frames arrive never depends on it"
+        )]
         let now = Instant::now();
         while let Some(due) = self.delayed.first_entry().filter(|d| d.key().0 <= now) {
             let fwd = due.remove();
@@ -842,7 +872,10 @@ impl Link for ChannelLink {
                 .recv()
                 .map_err(|_| RecvTimeoutError::Disconnected)?,
             Some(at) => {
-                // selint: allow(ambient-nondet, waits until the earliest delayed forward is due)
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "waits until the earliest delayed forward is due"
+                )]
                 let wait = at.saturating_duration_since(Instant::now());
                 self.inbox.recv_timeout(wait)?
             }
@@ -880,6 +913,10 @@ impl ThreadedNetwork {
 
     /// [`ThreadedNetwork::spawn_with_faults`] on at most `workers` workers:
     /// the seam that lets tests cross shards on any core count.
+    #[expect(
+        clippy::expect_used,
+        reason = "constructor not delivery; channel links cannot fail to open or join"
+    )]
     pub(crate) fn spawn_on(workers: usize, n: usize, plan: FaultPlan, retry_max: u32) -> Self {
         let (shards, peers, events) = ChannelLink::fabric(n, workers);
         PeerNetwork::spawn_over(
@@ -891,12 +928,12 @@ impl ThreadedNetwork {
             shards,
             |link, _| Ok(link),
         )
-        // selint: allow(panic-path, constructor not delivery; channel links cannot fail to open or join)
         .expect("in-process peers always open and join")
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, clippy::cast_possible_truncation)] // tests are exempt
 mod tests {
     //! `publish_over` behaviour that no link family can change, checked
     //! once over the reference family. What every family owes the driver

@@ -50,6 +50,16 @@
 //! against the network's epoch — and handed over when the workers are
 //! joined, so [`crate::Transport::drain_spans`] is complete after shutdown.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::codec::{encode, encoded_frame_len, read_frame, write_frame};
 use crate::runtime::{Inbound, Link, Pace, PeerNetwork, Peers};
 use crate::stats::TransportStats;
@@ -155,7 +165,10 @@ impl Link for TcpLink {
         if let Some(at) = deadline {
             // A blocking reader cannot also wait on a timer: a jittered
             // forward is paid out before reading on, as an upload would be.
-            // selint: allow(ambient-nondet, sleeps out fault-plan jitter; which frames arrive never depends on it)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "sleeps out fault-plan jitter; which frames arrive never depends on it"
+            )]
             std::thread::sleep(at.saturating_duration_since(Instant::now()));
             return Err(RecvTimeoutError::Timeout);
         }
@@ -258,6 +271,7 @@ impl SocketNetwork {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)] // tests are exempt
 mod tests {
     //! What only the TCP family can promise. The transport contract every
     //! family shares runs as [`crate::contract`]'s `socket::` module.

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counter slots: tags 1–8 count in their own slot, anything else (only
 /// possible on a hostile rx path) in slot 0.
-const TAG_SLOTS: usize = 9;
+pub(crate) const TAG_SLOTS: usize = 9;
 
 fn slot(tag: u8) -> usize {
     if (1..=8).contains(&tag) {

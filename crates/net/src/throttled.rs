@@ -14,6 +14,16 @@
 //! same tree, driven by real wall-clock pacing, must reproduce the model's
 //! arrival-order predictions (see the `agrees_with_transfer_sim` test).
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::runtime::{worker_count, ChannelLink, ChannelPeers, Inbound, Link, Pace, PeerNetwork};
 use bytes::Bytes;
 use crossbeam::channel::RecvTimeoutError;
@@ -65,6 +75,11 @@ impl TimedPublishResult {
     pub fn latency_histogram(&self, compression: f64) -> osn_obs::Histogram {
         let mut h = osn_obs::Histogram::new();
         for d in &self.deliveries {
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "elapsed x compression is non-negative (compression > 0 asserted at spawn)"
+            )]
             h.record((d.elapsed.as_secs_f64() * 1_000.0 * compression).round() as u64);
         }
         h
@@ -111,6 +126,10 @@ impl ThrottledNetwork {
     ///
     /// # Panics
     /// Panics if `bandwidth.len() != n` or `compression <= 0`.
+    #[expect(
+        clippy::expect_used,
+        reason = "constructor not delivery; channel links cannot fail to open or join"
+    )]
     pub fn spawn_with_faults(
         n: usize,
         bandwidth: Vec<f64>,
@@ -127,7 +146,6 @@ impl ThrottledNetwork {
         PeerNetwork::spawn_over(peers, events, plan, 0, pace, shards, |chan, _| {
             Ok(ThrottledLink(chan))
         })
-        // selint: allow(panic-path, constructor not delivery; channel links cannot fail to open or join)
         .expect("in-process peers always open and join")
     }
 
@@ -145,8 +163,16 @@ impl ThrottledNetwork {
         bytes: u64,
         timeout: Duration,
     ) -> TimedPublishResult {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "u64 -> usize is lossless on the 64-bit hosts the wire stack runs on"
+        )]
         let payload = Bytes::from(vec![0u8; bytes as usize]);
         let (pub_id, first, was_tracing) = (self.next_pub_id, self.spans.len(), self.tracing);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "microseconds since the epoch overflow u64 only after 584,000 years"
+        )]
         let start_us = self.epoch.elapsed().as_micros() as u64;
         self.tracing = true;
         let acked = self.publish(tree, payload, timeout).delivered_to;

@@ -62,12 +62,6 @@ impl TransferSim {
         self.bandwidth[p as usize]
     }
 
-    /// One-link payload latency `latency(a,b) + payload/bw(a)`.
-    pub fn link_cost(&self, from: u32, to: u32) -> f64 {
-        self.links.latency_of(from, to, self.seed)
-            + transfer_time(self.payload, self.bandwidth_of(from))
-    }
-
     /// Simulates store-and-forward dissemination over `tree`.
     ///
     /// Children of each node are served in ascending-id order; child `i`

@@ -20,6 +20,16 @@
 //! * [`Transport::shutdown`] is idempotent, and dropping a transport shuts
 //!   it down.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::stats::TransportStats;
 use bytes::Bytes;
 use osn_obs::trace::SpanRecord;
@@ -204,13 +214,23 @@ pub fn publish_over<T: Transport + ?Sized>(
     // waiting for acks.
     let window = (timeout / windows).max(MIN_ACK_WINDOW);
     for attempt in 0..windows {
-        // selint: allow(ambient-nondet, real-I/O ack deadline; delivery sets stay plan-deterministic)
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "real-I/O ack deadline; delivery sets stay plan-deterministic"
+        )]
         let deadline = std::time::Instant::now() + window;
         while result.delivered_to.len() < expect.len() {
-            // selint: allow(ambient-nondet, countdown against the waived deadline above)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "countdown against the waived deadline above"
+            )]
             let remaining = deadline.saturating_duration_since(std::time::Instant::now());
             match net.recv_event(remaining) {
                 // The publisher's own local delivery does not count.
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "u64 -> usize is lossless on the 64-bit hosts the wire stack runs on"
+                )]
                 Some(WireMsg::Ack {
                     pub_id: acked,
                     peer,

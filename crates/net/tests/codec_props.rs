@@ -84,7 +84,8 @@ fn arb_msg(tag: u8, seed: u64) -> WireMsg {
             bytes: seed >> 3,
             trace: arb_trace(seed),
         },
-        _ => WireMsg::Shutdown,
+        8 => WireMsg::Shutdown,
+        other => panic!("no generator for wire tag {other}"),
     }
 }
 

@@ -7,7 +7,7 @@
 //!
 //! * **No ambient time.** Values are integers in domain units (hops, virtual
 //!   milliseconds from `osn_sim::latency`, retry attempts). Nothing in this
-//!   crate reads a clock; selint L2 covers `crates/obs/src/`.
+//!   crate reads a clock; its `clippy.toml` bans them.
 //! * **Deterministic merge.** Buckets are `u64` counters and merging is
 //!   bucket-wise addition — commutative and associative — so sharded
 //!   per-thread recorders merged at the superstep apply barrier produce

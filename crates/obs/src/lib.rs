@@ -6,8 +6,8 @@
 //! subsystem, built under the same invariants as the protocol code it
 //! watches:
 //!
-//! * **Deterministic.** No ambient clocks or RNG anywhere (selint L2 scans
-//!   `crates/obs/src/`). Time is the simulation's virtual time: rounds, and
+//! * **Deterministic.** No ambient clocks or RNG anywhere (L2, banned by
+//!   this crate's `clippy.toml`). Time is the simulation's virtual time: rounds, and
 //!   virtual milliseconds from `osn_sim::latency`. Sharded per-thread
 //!   recorders merge by commutative bucket addition at the superstep apply
 //!   barrier, so every metric is bit-identical at any `--threads` value.

@@ -10,8 +10,8 @@
 //! bit-identical at any thread count), and computes per-hop and
 //! critical-path latency from the wall-clock stamps.
 //!
-//! This module performs no I/O and reads no clocks (selint L2 scans
-//! `crates/obs/src/`): wall-clock values arrive pre-stamped in the records,
+//! This module performs no I/O and reads no clocks (`clippy.toml` bans
+//! them crate-wide): wall-clock values arrive pre-stamped in the records,
 //! measured by the transports against a shared epoch.
 
 use crate::flight::{FlightRecorder, JourneyStatus, RouteChoice, TraceEvent};

@@ -13,7 +13,7 @@
 //! as the tree root.
 
 use crate::id::RingId;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 const DIGITS: usize = 16; // hex digits
 const LEVELS: usize = 16; // 64 bits / 4 bits per digit
@@ -55,13 +55,12 @@ impl PrefixDht {
 
         // Bucket nodes by prefix per level until every bucket is a singleton.
         let mut depth = 0usize;
-        let mut buckets_per_level: Vec<HashMap<u64, Vec<u32>>> = Vec::new();
+        let mut buckets_per_level: Vec<BTreeMap<u64, Vec<u32>>> = Vec::new();
         loop {
-            let mut buckets: HashMap<u64, Vec<u32>> = HashMap::new();
+            let mut buckets: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
             for (p, &id) in ids.iter().enumerate() {
                 buckets.entry(prefix(id, depth)).or_default().push(p as u32);
             }
-            // selint: allow(unordered-iter, universal predicate is order-independent)
             let all_singleton = buckets.values().all(|v| v.len() == 1);
             buckets_per_level.push(buckets);
             depth += 1;
@@ -111,11 +110,6 @@ impl PrefixDht {
     /// Populated routing-table depth (≈ `log16 n`).
     pub fn depth(&self) -> usize {
         self.depth
-    }
-
-    /// DHT identifier of `peer`.
-    pub fn id_of(&self, peer: u32) -> u64 {
-        self.ids[peer as usize]
     }
 
     /// Marks a peer offline/online (used by churn experiments).

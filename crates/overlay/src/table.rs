@@ -113,11 +113,6 @@ impl RoutingTable {
         self.incoming.retain(|&p| p != peer);
     }
 
-    /// Clears long-range links only, keeping the ring links.
-    pub fn clear_long(&mut self) {
-        self.long.clear();
-    }
-
     /// Attempts to register an incoming connection from `peer`.
     ///
     /// Implements the paper's admission rule: accept if below capacity;

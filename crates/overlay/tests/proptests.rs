@@ -39,7 +39,7 @@ proptest! {
         }
         let n = positions.len();
         // Walk successors from peer 0: must visit all peers and return.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let mut cur = 0u32;
         for _ in 0..n {
             prop_assert!(seen.insert(cur), "revisited {cur} early");

@@ -1,48 +1,22 @@
-//! Seeded fixture: one deliberate violation of every single-file selint rule
-//! (L1–L4 direct, transitive L3, L6 lock-order, L7 cast-audit, plus a stale
-//! waiver). CI runs `cargo run -p selint -- crates/selint/fixtures/violations.rs`
-//! and requires exit code 1 exactly. The multi-file L5 wire-exhaustive rule
-//! has its own fixture tree under `fixtures/wirespace/`. This file is never
+//! Seeded fixture: one deliberate violation of every selint rule (L3 direct
+//! and transitive, L6 lock-order in both shapes, plus a stale waiver). CI
+//! runs `cargo run -p selint -- crates/selint/fixtures/violations.rs` and
+//! requires exit code 1 exactly. The rules that moved to clippy have their
+//! own negative control, the `fixtures/clippy` crate. This file is never
 //! compiled (the `fixtures/` directory is excluded from workspace scans and
 //! from any module tree).
 
-use std::collections::HashMap;
 use std::sync::Mutex;
-use std::time::Instant;
-
-struct Registry {
-    members: HashMap<u32, u32>,
-}
 
 struct Shared {
     routes: Mutex<Vec<u32>>,
     links: Mutex<Vec<u32>>,
 }
 
-// L1: nondeterministic-order iteration over a hash container.
-fn l1_unordered_iter(reg: &Registry) -> u32 {
-    let mut acc = 0;
-    for k in reg.members.keys() {
-        acc ^= k;
-    }
-    acc
-}
-
-// L2: ambient nondeterminism.
-fn l2_ambient_clock() -> Instant {
-    Instant::now()
-}
-
 // L3: allocation inside a #[hotpath] function.
 #[hotpath]
 fn l3_hotpath_alloc(route: &[u32]) -> Vec<u32> {
     route.to_vec()
-}
-
-// L4: panicking indexing and unwrap in a delivery path.
-fn l4_panic_path(senders: &[u32], peer: usize) -> u32 {
-    let first = senders[peer];
-    first + senders.first().copied().unwrap()
 }
 
 // Transitive L3: the hot root itself is clean; the allocation hides one
@@ -77,19 +51,13 @@ fn l6_blocking_under_guard(s: &Shared, rx: &Receiver<u32>) {
     drop(r);
 }
 
-// L7 cast-audit: an unchecked narrowing cast.
-fn l7_narrowing(n: usize) -> u32 {
-    n as u32
-}
-
 // A waived site must NOT count as a finding (negative control).
-fn waived(reg: &Registry) -> Vec<u32> {
-    // selint: allow(unordered-iter, collected then sorted below)
-    let mut ks: Vec<u32> = reg.members.keys().copied().collect();
-    ks.sort_unstable();
-    ks
+#[hotpath]
+fn waived(route: &[u32]) -> Vec<u32> {
+    // selint: allow(hotpath-alloc, cold fallback the caller sizes once)
+    route.to_vec()
 }
 
 // A waiver that suppresses nothing is itself an error (stale control).
-// selint: allow(cast-audit, stale on purpose: nothing narrows on this line)
+// selint: allow(lock-order, stale on purpose: no guard is taken here)
 fn stale_waiver_site() {}

@@ -38,7 +38,7 @@
 //!   name. The cost is losing edges to trivial domain getters of the same
 //!   name, which is the right trade for an allocation/deadlock lint.
 
-use crate::lexer;
+use crate::{is_ident_byte, lexer, line_of};
 use std::collections::BTreeMap;
 
 /// One `fn` item found in a stripped source file.
@@ -151,21 +151,8 @@ const METHOD_DENYLIST: &[&str] = &[
     "checked_mul",
 ];
 
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
 fn is_ident_start(b: u8) -> bool {
     b.is_ascii_alphabetic() || b == b'_'
-}
-
-/// 1-based line number of byte offset `pos`.
-fn line_of(code: &str, pos: usize) -> usize {
-    code.as_bytes()[..pos.min(code.len())]
-        .iter()
-        .filter(|&&b| b == b'\n')
-        .count()
-        + 1
 }
 
 /// Byte offset just past a balanced `<…>` starting at `open` (which must be
@@ -509,6 +496,11 @@ fn parse_calls(code: &str, span: (usize, usize), test: &[bool]) -> Vec<CallSite>
     let mut i = span.0;
     let end = span.1.min(bytes.len());
     while i < end {
+        // An attribute (`#[expect(…)]`) names lints, not callees.
+        if bytes[i] == b'#' && bytes.get(i + 1) == Some(&b'[') {
+            i = skip_delim(bytes, i + 1, b']').unwrap_or(end);
+            continue;
+        }
         if !is_ident_start(bytes[i]) || (i > 0 && is_ident_byte(bytes[i - 1])) {
             i += 1;
             continue;
@@ -950,6 +942,16 @@ mod tests {
         )]);
         let f = g.fn_in_file("crates/a/src/lib.rs", "f").unwrap();
         assert!(g.calls[f].is_empty(), "{:?}", g.calls[f]);
+    }
+
+    #[test]
+    fn attributes_are_not_calls() {
+        let g = build_from_sources(&[(
+            "crates/a/src/lib.rs",
+            "fn expect() {}\nfn f() {\n    #[expect(clippy::x, reason = \"r\")]\n    let t = 1;\n}\n",
+        )]);
+        let f = g.fn_in_file("crates/a/src/lib.rs", "f").unwrap();
+        assert!(g.reachable(f).is_empty(), "{:?}", g.calls[f]);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   ],
 //!   "waivers": [
 //!     {"path": "crates/net/src/transport.rs", "line": 179,
-//!      "rule": "ambient-nondet", "reason": "…", "used": true},
+//!      "rule": "lock-order", "reason": "…", "used": true},
 //!     …
 //!   ]
 //! }
@@ -71,14 +71,6 @@ impl Value {
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The bool payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }

@@ -21,7 +21,9 @@
 //!   via a callee.
 
 use crate::callgraph::CallGraph;
-use crate::{contains_word, decl_name, ident_ending_at, line_of, ChainHop, Finding, PerFile, Rule};
+use crate::{
+    contains_word, ident_ending_at, is_ident_byte, line_of, ChainHop, Finding, PerFile, Rule,
+};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Lock-acquisition method suffixes. `.read(`/`.write(` double as
@@ -60,6 +62,23 @@ struct FnFacts {
     /// `(line, token)` of direct blocking calls.
     blocking: Vec<(usize, String)>,
     in_scope: bool,
+}
+
+/// The name a `let` binding or a struct-field line (`name: Type`) declares.
+fn decl_name(line: &str) -> Option<&str> {
+    let t = line.trim_start();
+    let t = ["pub(crate) ", "pub(super) ", "pub "]
+        .iter()
+        .find_map(|vis| t.strip_prefix(vis))
+        .unwrap_or(t);
+    let (t, is_let) = match t.strip_prefix("let ") {
+        Some(rest) => (rest.strip_prefix("mut ").unwrap_or(rest), true),
+        None => (t, false),
+    };
+    let end = t.bytes().position(|b| !is_ident_byte(b)).unwrap_or(t.len());
+    let after = t[end..].trim_start();
+    let field = after.starts_with(':') && !after.starts_with("::");
+    (end > 0 && !t.as_bytes()[0].is_ascii_digit() && (is_let || field)).then(|| &t[..end])
 }
 
 /// Collects every lock name declared in L6-scoped files.

@@ -1,9 +1,8 @@
-//! CLI driver for the workspace determinism lint.
+//! Command-line entry point of the workspace lint pass (L3 hotpath-alloc, L6
+//! lock-order).
 //!
 //! * `cargo run -p selint` — lints the whole workspace with path-based rule
 //!   scopes; exits non-zero if any finding survives waivers.
-//! * `cargo run -p selint -- <dir>` — treats `<dir>` as a workspace root
-//!   (same walk and scopes; used for the multi-file wire fixture in CI).
 //! * `cargo run -p selint -- <file>...` — lints explicit files with
 //!   **every** rule enabled (used for the seeded violation fixture in CI).
 //! * `--json` — emit the `selint-report/v2` artifact on stdout instead of
@@ -16,7 +15,6 @@
 #![forbid(unsafe_code)]
 
 use selint::{analyze, json, lint_workspace, workspace_root, Report, Scope, SourceFile};
-use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -34,14 +32,6 @@ fn main() -> ExitCode {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("selint: workspace walk failed: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    } else if paths.len() == 1 && Path::new(&paths[0]).is_dir() {
-        match lint_workspace(Path::new(&paths[0])) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("selint: walk of {} failed: {e}", paths[0]);
                 return ExitCode::from(2);
             }
         }

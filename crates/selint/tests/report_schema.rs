@@ -12,23 +12,15 @@ use selint::{analyze, workspace_root, Scope, SourceFile};
 /// finding (used waiver) and a stale waiver.
 fn sample_report() -> selint::Report {
     let src = "\
-struct R {
-    m: std::collections::HashMap<u32, u32>,
-}
-fn f(r: &R) -> u32 {
-    let mut acc = 0;
-    for k in r.m.keys() {
-        acc ^= k;
-    }
-    acc
-}
+#[hotpath]
+fn direct(route: &[u32]) -> Vec<u32> { route.to_vec() }
 #[hotpath]
 fn hot(route: &[u32]) -> Vec<u32> { cold(route) }
 fn cold(route: &[u32]) -> Vec<u32> {
     // selint: allow(hotpath-alloc, schema test: exercise the waived branch)
     route.to_vec()
 }
-// selint: allow(cast-audit, schema test: deliberately stale)
+// selint: allow(lock-order, schema test: deliberately stale)
 fn nothing() {}
 ";
     analyze(vec![SourceFile {

@@ -61,75 +61,6 @@ impl Mean {
     }
 }
 
-/// Integer-bucketed histogram with saturating overflow bucket.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-}
-
-impl Histogram {
-    /// Histogram over values `0..=max_value`; larger values land in the last
-    /// bucket.
-    pub fn new(max_value: usize) -> Self {
-        Histogram {
-            buckets: vec![0; max_value + 1],
-        }
-    }
-
-    /// Records one value.
-    pub fn record(&mut self, value: usize) {
-        let idx = value.min(self.buckets.len() - 1);
-        self.buckets[idx] += 1;
-    }
-
-    /// Count in bucket `value`.
-    pub fn count(&self, value: usize) -> u64 {
-        self.buckets.get(value).copied().unwrap_or(0)
-    }
-
-    /// All buckets.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Total recorded observations.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// Mean of the recorded values (overflow bucket counted at its index).
-    pub fn mean(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let sum: f64 = self
-            .buckets
-            .iter()
-            .enumerate()
-            .map(|(v, &c)| v as f64 * c as f64)
-            .sum();
-        sum / total as f64
-    }
-
-    /// Value at or below which `q` of the mass lies (`q` in the unit interval).
-    pub fn quantile(&self, q: f64) -> usize {
-        let total = self.total();
-        if total == 0 {
-            return 0;
-        }
-        let want = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut acc = 0;
-        for (v, &c) in self.buckets.iter().enumerate() {
-            acc += c;
-            if acc >= want {
-                return v;
-            }
-        }
-        self.buckets.len() - 1
-    }
-}
-
 /// Load-balance view: per-degree message-forwarding shares (paper Fig. 4).
 #[derive(Clone, Debug, Default)]
 pub struct LoadByDegree {
@@ -221,29 +152,6 @@ mod tests {
         b.add(3.0);
         a.merge(&b);
         assert!((a.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_basics() {
-        let mut h = Histogram::new(4);
-        for v in [0, 1, 1, 2, 9] {
-            h.record(v);
-        }
-        assert_eq!(h.count(1), 2);
-        assert_eq!(h.count(4), 1, "overflow saturates into last bucket");
-        assert_eq!(h.total(), 5);
-    }
-
-    #[test]
-    fn histogram_mean_and_quantile() {
-        let mut h = Histogram::new(10);
-        for v in [1, 2, 3, 4, 5] {
-            h.record(v);
-        }
-        assert!((h.mean() - 3.0).abs() < 1e-12);
-        assert_eq!(h.quantile(0.5), 3);
-        assert_eq!(h.quantile(1.0), 5);
-        assert_eq!(Histogram::new(3).quantile(0.5), 0);
     }
 
     #[test]

@@ -98,11 +98,6 @@ impl<S: ShardScratch> ShardArenas<S> {
     pub fn active(&self) -> &[S] {
         &self.shards[..self.active]
     }
-
-    /// Mutable view of the most recent `begin`'s shards.
-    pub fn active_mut(&mut self) -> &mut [S] {
-        &mut self.shards[..self.active]
-    }
 }
 
 /// Synchronous vertex-centric message-passing engine.
@@ -416,7 +411,7 @@ impl<M: Send> SuperstepEngine<M> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<(u64, u64)>>,
-    payloads: std::collections::HashMap<u64, (u64, E)>,
+    payloads: std::collections::BTreeMap<u64, (u64, E)>,
     seq: u64,
     now: u64,
 }
@@ -432,7 +427,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            payloads: std::collections::HashMap::new(),
+            payloads: std::collections::BTreeMap::new(),
             seq: 0,
             now: 0,
         }

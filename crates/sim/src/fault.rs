@@ -13,6 +13,16 @@
 //! observed — so a seeded run replays **bit-identically at any thread
 //! count** and a single faulty publication can be re-simulated in isolation.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 /// splitmix64 finalizer: a well-mixed 64-bit hash of the packed key.
 #[inline]
 fn mix(mut z: u64) -> u64 {

@@ -36,7 +36,7 @@ pub mod workload;
 
 pub use churn::{AvailabilityTrace, ChurnModel};
 pub use cma::Cma;
-pub use collect::{Histogram, Mean};
+pub use collect::Mean;
 pub use dist::{Exponential, LogNormal};
 pub use engine::{EventQueue, ShardArenas, ShardScratch, SuperstepEngine};
 pub use fault::{FaultPlan, FrameFate};

@@ -1,6 +1,6 @@
 //! Property-based tests for the simulation substrate.
 
-use osn_sim::collect::{gini, Histogram, Mean};
+use osn_sim::collect::{gini, Mean};
 use osn_sim::engine::EventQueue;
 use osn_sim::{ChurnModel, Cma, Exponential, LogNormal};
 use proptest::prelude::*;
@@ -148,30 +148,6 @@ proptest! {
         }
     }
 
-    /// Histogram mean is bounded by its min/max recorded values.
-    #[test]
-    fn histogram_mean_bounded(values in proptest::collection::vec(0usize..50, 1..80)) {
-        let mut h = Histogram::new(64);
-        for &v in &values {
-            h.record(v);
-        }
-        let lo = *values.iter().min().unwrap() as f64;
-        let hi = *values.iter().max().unwrap() as f64;
-        prop_assert!(h.mean() >= lo - 1e-9 && h.mean() <= hi + 1e-9);
-        prop_assert_eq!(h.total(), values.len() as u64);
-    }
-
-    /// Quantiles are monotone in q.
-    #[test]
-    fn quantiles_monotone(values in proptest::collection::vec(0usize..30, 1..60)) {
-        let mut h = Histogram::new(32);
-        for &v in &values {
-            h.record(v);
-        }
-        prop_assert!(h.quantile(0.25) <= h.quantile(0.5));
-        prop_assert!(h.quantile(0.5) <= h.quantile(0.9));
-        prop_assert!(h.quantile(0.9) <= h.quantile(1.0));
-    }
 
     /// Gini is within [0, 1) for non-negative inputs and 0 for equal ones.
     #[test]
