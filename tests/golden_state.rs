@@ -186,3 +186,101 @@ fn observed_publishes_keep_the_golden_hash_eight_threads() {
         "metrics/tracing recording perturbed protocol state (threads=8)"
     );
 }
+
+/// Everything an [`Observer`](select::obs::Observer) retained: the bucket
+/// counts of the four publish histograms, the per-peer relay load, and
+/// every retained journey (stamp, nonce, subscriber, status, truncation
+/// flag and events).
+fn hash_observer(h: &mut Fnv, obs: &select::obs::Observer) {
+    let m = &obs.metrics;
+    for hist in [&m.hops, &m.stretch, &m.retries, &m.latency_ms] {
+        h.word(hist.count());
+        for (floor, count) in hist.nonzero_buckets() {
+            h.word(floor);
+            h.word(count);
+        }
+    }
+    h.word(m.relay_load().len() as u64);
+    for &load in m.relay_load() {
+        h.word(load);
+    }
+    let flight = obs.flight.as_ref().expect("tracing is on");
+    for j in flight.journeys() {
+        h.word(j.seq);
+        h.word(j.nonce);
+        h.word(j.subscriber as u64);
+        h.word(j.status as u64);
+        h.word(j.truncated as u64);
+        h.word(j.events().len() as u64);
+        for ev in j.events() {
+            for byte in format!("{ev:?}").bytes() {
+                h.word(byte as u64);
+            }
+        }
+    }
+}
+
+/// Observation pin on Facebook-200 (seed 42): 20 fault-free publishes, then
+/// 40 publishes under a drop 0.08 / crash 0.02 fault plan with 3 retries,
+/// each phase recorded by one observer with tracing on. The faulty phase is
+/// recorded twice: once into a ring that keeps every journey, once into an
+/// 8-slot ring that recycles journeys while their publication is still
+/// being delivered.
+fn observed_metrics_and_journeys_hash(threads: usize) -> u64 {
+    let converged = |cfg: SelectConfig| {
+        let graph = datasets::Dataset::Facebook.generate_with_nodes(200, 42);
+        let mut net = SelectNetwork::bootstrap(graph, cfg.with_seed(42).with_threads(threads));
+        assert!(
+            net.converge(300).converged,
+            "threads={threads} did not converge"
+        );
+        net
+    };
+    let mut h = Fnv::new();
+
+    let net = converged(SelectConfig::default());
+    let mut obs = select::obs::Observer::for_peers(net.len()).with_tracing(4096);
+    for b in 0..20u32 {
+        net.publish_observed(b, b as u64, &mut obs);
+    }
+    hash_observer(&mut h, &obs);
+
+    let plan = select::sim::FaultPlan::seeded(42)
+        .with_drop_prob(0.08)
+        .with_crash_prob(0.02);
+    let net = converged(
+        SelectConfig::default()
+            .with_fault_plan(plan)
+            .with_retry_max(3),
+    );
+    for capacity in [4096, 8] {
+        let mut obs = select::obs::Observer::for_peers(net.len()).with_tracing(capacity);
+        for i in 0..40u64 {
+            net.publish_observed((i * 5 % 200) as u32, 1_000 + i, &mut obs);
+        }
+        hash_observer(&mut h, &obs);
+    }
+    h.0
+}
+
+/// Observed hops, stretch, retries, latency, relay load and journeys, as
+/// recorded by the two-branch delivery walk this pin was captured on.
+const OBSERVED: u64 = 0xC7B4_9579_343E_4702;
+
+#[test]
+fn observed_metrics_and_journeys_match_the_pin_single_thread() {
+    assert_eq!(
+        observed_metrics_and_journeys_hash(1),
+        OBSERVED,
+        "observed metrics or journeys moved (threads=1)"
+    );
+}
+
+#[test]
+fn observed_metrics_and_journeys_match_the_pin_eight_threads() {
+    assert_eq!(
+        observed_metrics_and_journeys_hash(8),
+        OBSERVED,
+        "observed metrics or journeys moved (threads=8)"
+    );
+}
