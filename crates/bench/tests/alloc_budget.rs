@@ -10,12 +10,19 @@
 use osn_bench::allocs;
 use osn_graph::datasets::Dataset;
 use osn_obs::Observer;
+use osn_sim::FaultPlan;
 use select_core::{SelectConfig, SelectNetwork};
 
 /// The hot-path budget pinned by the flattened-storage refactor: a
 /// steady-state publish may average at most this many heap allocations —
 /// metrics recording included.
 const ALLOC_BUDGET: f64 = 23.0;
+
+/// Ceiling for a publish under drops and crashes (drop 0.08, crash 0.02,
+/// 3 retries; measured 35.0 on Facebook-300): a subscriber's path is
+/// copied only when its first attempt fails, reroutes allocate their own
+/// paths, and the edge memo, crash list and retry queue grow per publish.
+const FAULT_ALLOC_CEILING: f64 = 36.0;
 
 #[test]
 fn publish_with_metrics_stays_within_alloc_budget() {
@@ -27,6 +34,19 @@ fn publish_with_metrics_stays_within_alloc_budget() {
         net.converge(300);
         net
     };
+    let faulty = {
+        let plan = FaultPlan::seeded(42)
+            .with_drop_prob(0.08)
+            .with_crash_prob(0.02);
+        let cfg = SelectConfig::default()
+            .with_seed(42)
+            .with_threads(1)
+            .with_fault_plan(plan)
+            .with_retry_max(3);
+        let mut net = SelectNetwork::bootstrap(Dataset::Facebook.generate_with_nodes(n, 42), cfg);
+        net.converge(300);
+        net
+    };
     let mut obs = Observer::for_peers(n);
 
     // Warm-up: every publisher once per mode, so scratch arenas and the
@@ -34,6 +54,7 @@ fn publish_with_metrics_stays_within_alloc_budget() {
     for b in 0..n as u32 {
         std::hint::black_box(net.publish_at(b, b as u64));
         std::hint::black_box(net.publish_observed(b, b as u64, &mut obs));
+        std::hint::black_box(faulty.publish_at(b, b as u64));
     }
 
     let publishes = 2_000usize;
@@ -52,6 +73,9 @@ fn publish_with_metrics_stays_within_alloc_budget() {
     let with_metrics = per_publish(&mut |i| {
         std::hint::black_box(net.publish_observed((i % n) as u32, i as u64, &mut obs));
     });
+    let under_faults = per_publish(&mut |i| {
+        std::hint::black_box(faulty.publish_at((i % n) as u32, i as u64));
+    });
 
     assert!(
         with_metrics <= ALLOC_BUDGET,
@@ -62,5 +86,9 @@ fn publish_with_metrics_stays_within_alloc_budget() {
     assert!(
         with_metrics <= plain + 0.01,
         "metrics recording allocated: {with_metrics:.3} vs bare {plain:.3} allocs/publish"
+    );
+    assert!(
+        under_faults <= FAULT_ALLOC_CEILING,
+        "publish under faults averaged {under_faults:.2} allocs (ceiling {FAULT_ALLOC_CEILING})"
     );
 }

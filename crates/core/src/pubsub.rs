@@ -15,7 +15,9 @@ use crate::network::SelectNetwork;
 use crate::scratch::{PublishScratch, PUBLISH_SCRATCH};
 use crate::stats::DeliveryTelemetry;
 use hotpath::hotpath;
-use osn_obs::{JourneyStatus, Observer, RouteChoice, TraceEvent};
+use osn_obs::{
+    FlightRecorder, JourneyId, JourneyStatus, Observer, PublishRecorder, RouteChoice, TraceEvent,
+};
 use osn_overlay::{route_greedy, route_greedy_excluding, route_with_lookahead, RouteOutcome};
 
 /// How a planned delivery path was produced (drives the per-edge
@@ -27,6 +29,9 @@ enum PathKind {
     /// Came from [`SelectNetwork::lookup`]'s preference order (a lookahead
     /// shortcut replacement or the greedy fallback).
     Routed,
+    /// A retransmission after a lost attempt: the original path or a
+    /// reroute around observed-dead relays.
+    Retry,
 }
 
 /// The routing mechanism behind one edge of a planned path. Flood paths
@@ -34,6 +39,7 @@ enum PathKind {
 /// into a non-subscriber must come from the stage-2 bucket BFS. Routed
 /// paths classify by length, mirroring §III-E's preference order: 1 hop =
 /// direct link, 2 hops = lookahead affirmation, longer = greedy fallback.
+/// Every edge of a retransmission is a retry.
 fn choice_for(kind: PathKind, path_len: usize, to_subscriber: bool) -> RouteChoice {
     match kind {
         PathKind::Flood => {
@@ -48,30 +54,8 @@ fn choice_for(kind: PathKind, path_len: usize, to_subscriber: bool) -> RouteChoi
             3 => RouteChoice::Lookahead,
             _ => RouteChoice::Greedy,
         },
+        PathKind::Retry => RouteChoice::Retry,
     }
-}
-
-/// Virtual delivery time of `path` on attempt `attempt`, in milliseconds:
-/// per-link propagation latency (deterministic in the config seed) plus the
-/// fault plan's delay jitter plus whatever backoff the publisher had
-/// already waited (`base_ms`). Pure — observation never touches the clock.
-fn path_latency_ms(
-    lm: &osn_sim::LinkModel,
-    plan: &osn_sim::FaultPlan,
-    seed: u64,
-    nonce: u64,
-    attempt: u32,
-    path: &[u32],
-    base_ms: u64,
-) -> u64 {
-    let mut total = base_ms as f64;
-    for w in path.windows(2) {
-        total += lm.latency_of(w[0], w[1], seed);
-        if plan.is_active() {
-            total += plan.delay_ms(nonce, attempt, w[0], w[1]);
-        }
-    }
-    total.round() as u64
 }
 
 /// Fate of one physical transmission over an edge, memoized per edge on the
@@ -84,6 +68,192 @@ enum EdgeFate {
     Dropped,
     /// The forwarding relay was crashed (nothing was transmitted).
     Crashed,
+}
+
+/// One publication's delivery state: the tree and report totals, what the
+/// fault plan injected, the attempt-0 edge memo, the relays the publisher
+/// observed crashed, and the observer's two halves.
+struct Walk<'o> {
+    b: u32,
+    nonce: u64,
+    plan: osn_sim::FaultPlan,
+    seed: u64,
+    latency: osn_sim::LinkModel,
+    telemetry: DeliveryTelemetry,
+    /// Fate of every directed edge attempt 0 crossed, sorted by edge (tree
+    /// sized, binary-searched): each is one physical transmission, so
+    /// paths sharing a prefix share its fate. Empty without faults.
+    edge_fate: Vec<((u32, u32), EdgeFate)>,
+    /// Relays observed crashed, sorted — the reroute exclusion slice.
+    dead: Vec<u32>,
+    metrics: Option<&'o mut PublishRecorder>,
+    flight: Option<&'o mut FlightRecorder>,
+    tree: RoutingTree,
+    total_hops: usize,
+    total_relays: usize,
+}
+
+impl Walk<'_> {
+    /// Virtual delivery time of `path` on `attempt`, in milliseconds:
+    /// per-link propagation latency (deterministic in the config seed) plus
+    /// the fault plan's delay jitter plus the backoff the publisher has
+    /// waited so far. Pure — observation never touches the clock.
+    fn path_latency_ms(&self, path: &[u32], attempt: u32) -> u64 {
+        let mut total = self.telemetry.backoff_ms as f64;
+        for w in path.windows(2) {
+            total += self.latency.latency_of(w[0], w[1], self.seed);
+            if self.plan.is_active() {
+                total += self.plan.delay_ms(self.nonce, attempt, w[0], w[1]);
+            }
+        }
+        total.round() as u64
+    }
+
+    /// Opens `s`'s journey when tracing is on.
+    fn begin(&mut self, s: u32) -> Option<JourneyId> {
+        let fr = self.flight.as_deref_mut()?;
+        let id = fr.begin(self.nonce, self.b, s);
+        fr.push(id, TraceEvent::Publish { publisher: self.b });
+        Some(id)
+    }
+
+    /// Appends an event to `journey`; `ev` runs only when tracing is on.
+    fn event(&mut self, journey: Option<JourneyId>, ev: impl FnOnce() -> TraceEvent) {
+        if let (Some(fr), Some(id)) = (self.flight.as_deref_mut(), journey) {
+            fr.push(id, ev());
+        }
+    }
+
+    fn finish(&mut self, journey: Option<JourneyId>, ev: TraceEvent, status: JourneyStatus) {
+        if let (Some(fr), Some(id)) = (self.flight.as_deref_mut(), journey) {
+            fr.push(id, ev);
+            fr.finish(id, status);
+        }
+    }
+
+    /// Draws the fate of one transmission `u → v` on `attempt`.
+    fn draw(&mut self, u: u32, v: u32, attempt: u32) -> EdgeFate {
+        if u != self.b && self.plan.crashes(self.nonce, u) {
+            if let Err(j) = self.dead.binary_search(&u) {
+                self.dead.insert(j, u);
+            }
+            self.telemetry.crash_losses += 1;
+            EdgeFate::Crashed
+        } else if self.plan.drops(self.nonce, attempt, u, v) {
+            self.telemetry.drops_injected += 1;
+            EdgeFate::Dropped
+        } else {
+            EdgeFate::Ok
+        }
+    }
+
+    /// Sends along `path` on `attempt`; true when it reached the end.
+    ///
+    /// Attempt 0 floods the shared tree, so its fates come from the edge
+    /// memo; retransmissions are unicast, so every edge they cross is a
+    /// fresh draw. Relay load counts each transmission once: without faults
+    /// a send counts when its receiver first receives, under faults every
+    /// fresh send whose sender had not crashed counts.
+    fn walk(
+        &mut self,
+        scr: &mut PublishScratch,
+        path: &[u32],
+        attempt: u32,
+        kind: PathKind,
+        journey: Option<JourneyId>,
+    ) -> bool {
+        let faults = self.plan.is_active();
+        if !faults && self.metrics.is_none() {
+            return true; // nothing to draw and nothing to record
+        }
+        for w in path.windows(2) {
+            let (u, v) = (w[0], w[1]);
+            let (fate, fresh) = if !faults {
+                (EdgeFate::Ok, true)
+            } else if attempt > 0 {
+                (self.draw(u, v, attempt), true)
+            } else {
+                match self.edge_fate.binary_search_by_key(&(u, v), |e| e.0) {
+                    Ok(i) => (self.edge_fate[i].1, false),
+                    Err(i) => {
+                        let fate = self.draw(u, v, 0);
+                        self.edge_fate.insert(i, ((u, v), fate));
+                        (fate, true)
+                    }
+                }
+            };
+            if fresh {
+                let first = fate == EdgeFate::Ok && scr.first_receipt(v);
+                if faults && fate == EdgeFate::Ok && !first {
+                    self.telemetry.duplicates_suppressed += 1;
+                }
+                let sent = if faults {
+                    fate != EdgeFate::Crashed
+                } else {
+                    first
+                };
+                if let Some(m) = self.metrics.as_deref_mut().filter(|_| sent) {
+                    m.relay_load_add(u, 1);
+                }
+            }
+            self.event(journey, || match fate {
+                EdgeFate::Ok => TraceEvent::Relay {
+                    from: u,
+                    to: v,
+                    choice: choice_for(kind, path.len(), scr.is_subscriber(v)),
+                },
+                EdgeFate::Dropped => TraceEvent::Drop {
+                    from: u,
+                    to: v,
+                    attempt,
+                },
+                EdgeFate::Crashed => TraceEvent::Crash { peer: u },
+            });
+            if fate != EdgeFate::Ok {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Records `path` as delivered on `attempt`: the tree, the report
+    /// totals, the telemetry and the observer.
+    fn deliver(
+        &mut self,
+        scr: &PublishScratch,
+        path: &[u32],
+        attempt: u32,
+        journey: Option<JourneyId>,
+    ) {
+        let hops = path.len() - 1;
+        if self.plan.is_active() {
+            self.telemetry.note_delivery_attempt(attempt as usize);
+        }
+        let lat = self
+            .metrics
+            .is_some()
+            .then(|| self.path_latency_ms(path, attempt));
+        if let (Some(m), Some(lat)) = (self.metrics.as_deref_mut(), lat) {
+            m.note_delivery(hops as u64, lat);
+            let ev = TraceEvent::Deliver {
+                hops: hops as u32,
+                latency_ms: lat as u32,
+            };
+            self.finish(journey, ev, JourneyStatus::Delivered);
+        }
+        self.total_hops += hops;
+        self.total_relays += path[1..hops]
+            .iter()
+            .filter(|&&q| !scr.is_subscriber(q))
+            .count();
+        self.tree.push_path(path);
+    }
+
+    /// Records `s` as unreached.
+    fn fail(&mut self, s: u32, journey: Option<JourneyId>) {
+        self.finish(journey, TraceEvent::Fail, JourneyStatus::Failed);
+        self.tree.failed.push(s);
+    }
 }
 
 /// The routing tree of one publication.
@@ -242,16 +412,7 @@ impl SelectNetwork {
     /// the exact same drops, delays and crashes — at any thread count.
     #[hotpath]
     pub fn publish_at(&self, b: u32, nonce: u64) -> DisseminationReport {
-        PUBLISH_SCRATCH.with(|cell| {
-            let scr = &mut *cell.borrow_mut();
-            // The subscriber list lives in scratch too: a steady-state
-            // publish reuses one buffer instead of collecting a fresh Vec.
-            let mut subs = std::mem::take(&mut scr.subs);
-            self.online_friends_into(b, &mut subs);
-            let report = self.disseminate_scratch(scr, b, &subs, nonce, None);
-            scr.subs = subs;
-            report
-        })
+        self.publish_with(b, nonce, None)
     }
 
     /// [`Self::publish_at`] with an [`Observer`] attached: dissemination
@@ -262,11 +423,18 @@ impl SelectNetwork {
     /// overlay and scratch state: the report, the routing tree and all
     /// protocol state are byte-identical to [`Self::publish_at`].
     pub fn publish_observed(&self, b: u32, nonce: u64, obs: &mut Observer) -> DisseminationReport {
+        self.publish_with(b, nonce, Some(obs))
+    }
+
+    /// The body of [`Self::publish_at`] and [`Self::publish_observed`].
+    fn publish_with(&self, b: u32, nonce: u64, obs: Option<&mut Observer>) -> DisseminationReport {
         PUBLISH_SCRATCH.with(|cell| {
             let scr = &mut *cell.borrow_mut();
+            // The subscriber list lives in scratch too: a steady-state
+            // publish reuses one buffer instead of collecting a fresh Vec.
             let mut subs = std::mem::take(&mut scr.subs);
             self.online_friends_into(b, &mut subs);
-            let report = self.disseminate_scratch(scr, b, &subs, nonce, Some(obs));
+            let report = self.disseminate_scratch(scr, b, &subs, nonce, obs);
             scr.subs = subs;
             report
         })
@@ -418,19 +586,22 @@ impl SelectNetwork {
         }
     }
 
-    /// The dissemination pipeline over a borrowed scratch arena. Steady
+    /// The dissemination pipeline over a borrowed scratch arena: plan, then
+    /// one delivery walk per subscriber ([`Self::deliver_planned`]). Steady
     /// path (inactive fault plan): no per-publication allocations beyond
-    /// arena growth — BFS state, membership tests, frontiers and path
-    /// construction all reuse the thread-local scratch, connection lists are
-    /// borrowed rows of the network's index, and delivered paths land
-    /// directly in the tree arena.
+    /// arena growth — BFS state, membership tests, receipt stamps, frontiers
+    /// and path construction all reuse the thread-local scratch, connection
+    /// lists are borrowed rows of the network's index, and delivered paths
+    /// land directly in the tree arena. Under faults only a path lost on its
+    /// first attempt is copied, to be retried.
     ///
     /// `obs` threads the optional observability hooks through the pipeline:
-    /// `None` is the exact pre-observability behaviour (no extra work, no
-    /// allocations); `Some` records metrics into the preallocated recorder
-    /// (still allocation-free on the steady path) and, when tracing is on,
-    /// journey events into the flight recorder. Observation never feeds
-    /// back into routing, so enabling it cannot change any protocol state.
+    /// `None` does no observation work; `Some` records metrics into the
+    /// preallocated recorder (still allocation-free on the steady path,
+    /// relay load deduplicated by the scratch's receipt stamps) and, when
+    /// tracing is on, journey events into the flight recorder. Observation
+    /// never feeds back into routing, so enabling it cannot change any
+    /// protocol state.
     #[hotpath]
     fn disseminate_scratch(
         &self,
@@ -541,6 +712,14 @@ impl SelectNetwork {
     /// buffer is taken and restored), so it can run any number of times over
     /// one plan — fault schedules and observation are per-nonce, the
     /// traversal is shared.
+    ///
+    /// One walk serves both regimes. Each subscriber's planned path is
+    /// walked once as attempt 0; a delivered path goes straight into the
+    /// tree, a lost one waits in `pending` for the ack-driven retry waves,
+    /// which walk it (or a reroute around observed-dead relays) again. With
+    /// the fault plan inactive nothing is drawn, every edge crosses, and
+    /// `pending` stays empty — the fault-free publish is that walk with no
+    /// draws and zero telemetry.
     #[hotpath]
     fn deliver_planned(
         &self,
@@ -550,389 +729,108 @@ impl SelectNetwork {
         nonce: u64,
         obs: Option<&mut Observer>,
     ) -> DisseminationReport {
-        let mut tree = RoutingTree::new(b);
-        let max_hops = self.cfg.max_route_hops;
-
-        // Mid-flight faults + ack/retry reliable delivery. With the plan
-        // inactive every planned path is delivered verbatim and the
-        // telemetry stays zero — the exact pre-fault behaviour.
-        let plan = self.cfg.fault_plan;
-        let seed = self.cfg.seed;
-        let mut telemetry = DeliveryTelemetry::default();
-        let mut total_hops = 0usize;
-        let mut total_relays = 0usize;
-        let mut path = std::mem::take(&mut scr.path);
-
-        // Split the observer into its two independently-borrowed halves and
-        // pin the latency model (pure, seed-derived) for this publication.
-        let (mut metrics, mut flight) = match obs {
-            Some(o) => {
-                o.metrics.begin_publish(self.len());
-                (Some(&mut o.metrics), o.flight.as_mut())
-            }
+        let (metrics, flight) = match obs {
+            Some(o) => (Some(&mut o.metrics), o.flight.as_mut()),
             None => (None, None),
         };
-        let lat_model = metrics.is_some().then(osn_sim::LinkModel::default);
-
-        if !plan.is_active() {
-            // Steady path: plan each subscriber's path in the shared buffer
-            // and append it straight into the tree arena.
-            for &s in subscribers {
-                if let Some(kind) = self.planned_path_into(b, s, scr, &mut path) {
-                    total_hops += path.len() - 1;
-                    total_relays += path[1..path.len() - 1]
-                        .iter()
-                        .filter(|&&q| !scr.is_subscriber(q))
-                        .count();
-                    if let Some(m) = metrics.as_deref_mut() {
-                        for w in path.windows(2) {
-                            m.note_transmission(w[0], w[1]);
-                        }
-                        let lm = lat_model.as_ref().expect("model set with metrics");
-                        let lat = path_latency_ms(lm, &plan, seed, nonce, 0, &path, 0);
-                        m.note_delivery((path.len() - 1) as u64, lat);
-                        if let Some(fr) = flight.as_deref_mut() {
-                            let id = fr.begin(nonce, b, s);
-                            fr.push(id, TraceEvent::Publish { publisher: b });
-                            for w in path.windows(2) {
-                                fr.push(
-                                    id,
-                                    TraceEvent::Relay {
-                                        from: w[0],
-                                        to: w[1],
-                                        choice: choice_for(
-                                            kind,
-                                            path.len(),
-                                            scr.is_subscriber(w[1]),
-                                        ),
-                                    },
-                                );
-                            }
-                            fr.push(
-                                id,
-                                TraceEvent::Deliver {
-                                    hops: (path.len() - 1) as u32,
-                                    latency_ms: lat as u32,
-                                },
-                            );
-                            fr.finish(id, JourneyStatus::Delivered);
-                        }
-                    }
-                    tree.push_path(&path);
-                } else {
-                    if let Some(fr) = flight.as_deref_mut() {
-                        let id = fr.begin(nonce, b, s);
-                        fr.push(id, TraceEvent::Publish { publisher: b });
-                        fr.push(id, TraceEvent::Fail);
-                        fr.finish(id, JourneyStatus::Failed);
-                    }
-                    tree.failed.push(s);
-                }
-            }
-            if let Some(m) = metrics.as_deref_mut() {
-                m.note_retries(0);
-            }
-        } else {
-            // Fault path: materialize the planned per-subscriber paths (the
-            // retry machinery reorders and replays them, so it keeps owned
-            // copies), in deterministic subscriber order. Each subscriber's
-            // flight-recorder journey handle rides along in its tuple — no
-            // side map to key by subscriber.
-            let mut planned: Vec<(u32, Vec<u32>, PathKind, Option<osn_obs::JourneyId>)> =
-                Vec::new();
-            for &s in subscribers {
-                if let Some(kind) = self.planned_path_into(b, s, scr, &mut path) {
-                    let mut journey = None;
-                    if let Some(fr) = flight.as_deref_mut() {
-                        let id = fr.begin(nonce, b, s);
-                        fr.push(id, TraceEvent::Publish { publisher: b });
-                        journey = Some(id);
-                    }
-                    // selint: allow(hotpath-alloc, fault path only; retry machinery needs owned paths)
-                    planned.push((s, path.clone(), kind, journey));
-                } else {
-                    if let Some(fr) = flight.as_deref_mut() {
-                        let id = fr.begin(nonce, b, s);
-                        fr.push(id, TraceEvent::Publish { publisher: b });
-                        fr.push(id, TraceEvent::Fail);
-                        fr.finish(id, JourneyStatus::Failed);
-                    }
-                    tree.failed.push(s);
-                }
-            }
-            let mut delivered_paths = Vec::new();
-            // Peers currently holding a copy live in the scratch arena's
-            // per-delivery stamp set (the old per-publication `HashSet`);
-            // relays the publisher has observed crashed in a sorted vec —
-            // tiny, and directly usable as the routing exclusion slice.
-            scr.begin_delivery(self.len());
-            scr.first_receipt(b);
-            let mut observed_dead: Vec<u32> = Vec::new();
-
-            // Attempt 0 floods the shared tree: each distinct directed edge
-            // is one physical transmission, simulated exactly once and
-            // memoized (sorted by edge, binary-searched — tree-sized, not
-            // network-sized) so paths sharing a prefix share its fate.
-            let mut edge_fate: Vec<((u32, u32), EdgeFate)> = Vec::new();
-            let mut pending: Vec<(u32, Vec<u32>, Option<osn_obs::JourneyId>)> = Vec::new();
-            for (s, path, kind, journey) in planned {
-                let mut alive = true;
-                for w in path.windows(2) {
-                    let (u, v) = (w[0], w[1]);
-                    let fate = match edge_fate.binary_search_by_key(&(u, v), |e| e.0) {
-                        Ok(i) => edge_fate[i].1,
-                        Err(i) => {
-                            let fate = if u != b && plan.crashes(nonce, u) {
-                                if let Err(j) = observed_dead.binary_search(&u) {
-                                    observed_dead.insert(j, u);
-                                }
-                                telemetry.crash_losses += 1;
-                                EdgeFate::Crashed
-                            } else if plan.drops(nonce, 0, u, v) {
-                                telemetry.drops_injected += 1;
-                                EdgeFate::Dropped
-                            } else {
-                                EdgeFate::Ok
-                            };
-                            edge_fate.insert(i, ((u, v), fate));
-                            if let Some(m) = metrics.as_deref_mut() {
-                                // A crashed relay never sends; a dropped
-                                // transmission still left the sender.
-                                if fate != EdgeFate::Crashed {
-                                    m.note_raw_transmission(u);
-                                }
-                            }
-                            if fate == EdgeFate::Ok && !scr.first_receipt(v) {
-                                telemetry.duplicates_suppressed += 1;
-                            }
-                            fate
-                        }
-                    };
-                    if let Some(fr) = flight.as_deref_mut() {
-                        if let Some(id) = journey {
-                            fr.push(
-                                id,
-                                match fate {
-                                    EdgeFate::Ok => TraceEvent::Relay {
-                                        from: u,
-                                        to: v,
-                                        choice: choice_for(kind, path.len(), scr.is_subscriber(v)),
-                                    },
-                                    EdgeFate::Dropped => TraceEvent::Drop {
-                                        from: u,
-                                        to: v,
-                                        attempt: 0,
-                                    },
-                                    EdgeFate::Crashed => TraceEvent::Crash { peer: u },
-                                },
-                            );
-                        }
-                    }
-                    if fate != EdgeFate::Ok {
-                        alive = false;
-                        break;
-                    }
-                }
-                if alive {
-                    telemetry.note_delivery_attempt(0);
-                    if let Some(m) = metrics.as_deref_mut() {
-                        let lm = lat_model.as_ref().expect("model set with metrics");
-                        let lat = path_latency_ms(lm, &plan, seed, nonce, 0, &path, 0);
-                        m.note_delivery((path.len() - 1) as u64, lat);
-                        if let Some(fr) = flight.as_deref_mut() {
-                            if let Some(id) = journey {
-                                fr.push(
-                                    id,
-                                    TraceEvent::Deliver {
-                                        hops: (path.len() - 1) as u32,
-                                        latency_ms: lat as u32,
-                                    },
-                                );
-                                fr.finish(id, JourneyStatus::Delivered);
-                            }
-                        }
-                    }
-                    delivered_paths.push(path);
-                } else {
-                    pending.push((s, path, journey));
-                }
-            }
-
-            // Ack-driven retries with bounded exponential backoff: each wave
-            // retransmits to every still-unacked subscriber, re-routing
-            // around relays observed dead. Retransmissions are unicast, so
-            // every traversed edge is a fresh transmission.
-            let mut backoff = self.cfg.retry_backoff_ms;
-            for attempt in 1..=self.cfg.retry_max as u32 {
-                if pending.is_empty() {
-                    break;
-                }
-                let wave_backoff = backoff;
-                telemetry.backoff_ms += backoff;
-                backoff = (backoff * 2).min(self.cfg.retry_backoff_ms << 8);
-                let mut still = Vec::new();
-                for (s, original, journey) in pending {
-                    telemetry.retries += 1;
-                    if let Some(fr) = flight.as_deref_mut() {
-                        if let Some(id) = journey {
-                            fr.push(
-                                id,
-                                TraceEvent::RetryWave {
-                                    attempt,
-                                    backoff_ms: wave_backoff as u32,
-                                },
-                            );
-                        }
-                    }
-                    let rerouted = if observed_dead.is_empty() {
-                        None
+        let mut walk = Walk {
+            b,
+            nonce,
+            plan: self.cfg.fault_plan,
+            seed: self.cfg.seed,
+            latency: osn_sim::LinkModel::default(),
+            telemetry: DeliveryTelemetry::default(),
+            edge_fate: Vec::new(),
+            dead: Vec::new(),
+            metrics,
+            flight,
+            tree: RoutingTree::new(b),
+            total_hops: 0,
+            total_relays: 0,
+        };
+        // Peers holding a copy live in the scratch arena's per-delivery
+        // receipt stamps; the publisher holds it from the start.
+        scr.begin_delivery(self.len());
+        scr.first_receipt(b);
+        let mut path = std::mem::take(&mut scr.path);
+        let mut pending: Vec<(u32, Vec<u32>, Option<JourneyId>)> = Vec::new();
+        for &s in subscribers {
+            let journey = walk.begin(s);
+            match self.planned_path_into(b, s, scr, &mut path) {
+                None => walk.fail(s, journey),
+                Some(kind) => {
+                    if walk.walk(scr, &path, 0, kind, journey) {
+                        walk.deliver(scr, &path, 0, journey);
                     } else {
-                        match route_greedy_excluding(self, b, s, max_hops, &observed_dead) {
-                            RouteOutcome::Delivered { path } => {
-                                telemetry.reroutes += 1;
-                                Some(path)
-                            }
-                            RouteOutcome::Failed { .. } => None,
-                        }
-                    };
-                    let was_rerouted = rerouted.is_some();
-                    // selint: allow(hotpath-alloc, fault path only; owned copy survives retry loop)
-                    let path = rerouted.unwrap_or_else(|| original.clone());
-                    if was_rerouted && path.len() > 1 {
-                        if let Some(fr) = flight.as_deref_mut() {
-                            if let Some(id) = journey {
-                                fr.push(id, TraceEvent::Reroute { via: path[1] });
-                            }
-                        }
-                    }
-                    let mut alive = true;
-                    for w in path.windows(2) {
-                        let (u, v) = (w[0], w[1]);
-                        if u != b && plan.crashes(nonce, u) {
-                            if let Err(j) = observed_dead.binary_search(&u) {
-                                observed_dead.insert(j, u);
-                            }
-                            telemetry.crash_losses += 1;
-                            if let Some(fr) = flight.as_deref_mut() {
-                                if let Some(id) = journey {
-                                    fr.push(id, TraceEvent::Crash { peer: u });
-                                }
-                            }
-                            alive = false;
-                            break;
-                        }
-                        if let Some(m) = metrics.as_deref_mut() {
-                            m.note_raw_transmission(u);
-                        }
-                        if plan.drops(nonce, attempt, u, v) {
-                            telemetry.drops_injected += 1;
-                            if let Some(fr) = flight.as_deref_mut() {
-                                if let Some(id) = journey {
-                                    fr.push(
-                                        id,
-                                        TraceEvent::Drop {
-                                            from: u,
-                                            to: v,
-                                            attempt,
-                                        },
-                                    );
-                                }
-                            }
-                            alive = false;
-                            break;
-                        }
-                        if let Some(fr) = flight.as_deref_mut() {
-                            if let Some(id) = journey {
-                                fr.push(
-                                    id,
-                                    TraceEvent::Relay {
-                                        from: u,
-                                        to: v,
-                                        choice: RouteChoice::Retry,
-                                    },
-                                );
-                            }
-                        }
-                        if !scr.first_receipt(v) {
-                            telemetry.duplicates_suppressed += 1;
-                        }
-                    }
-                    if alive {
-                        telemetry.note_delivery_attempt(attempt as usize);
-                        if let Some(m) = metrics.as_deref_mut() {
-                            let lm = lat_model.as_ref().expect("model set with metrics");
-                            let lat = path_latency_ms(
-                                lm,
-                                &plan,
-                                seed,
-                                nonce,
-                                attempt,
-                                &path,
-                                telemetry.backoff_ms,
-                            );
-                            m.note_delivery((path.len() - 1) as u64, lat);
-                            if let Some(fr) = flight.as_deref_mut() {
-                                if let Some(id) = journey {
-                                    fr.push(
-                                        id,
-                                        TraceEvent::Deliver {
-                                            hops: (path.len() - 1) as u32,
-                                            latency_ms: lat as u32,
-                                        },
-                                    );
-                                    fr.finish(id, JourneyStatus::Delivered);
-                                }
-                            }
-                        }
-                        delivered_paths.push(path);
-                    } else {
-                        still.push((s, original, journey));
+                        // selint: allow(hotpath-alloc, only a path lost to an injected fault is kept for its retries)
+                        pending.push((s, path.clone(), journey));
                     }
                 }
-                pending = still;
-            }
-            telemetry.residual_losses = pending.len() as u64;
-            for (s, _, journey) in pending {
-                if let Some(fr) = flight.as_deref_mut() {
-                    if let Some(id) = journey {
-                        fr.push(id, TraceEvent::Fail);
-                        fr.finish(id, JourneyStatus::Failed);
-                    }
-                }
-                tree.failed.push(s);
-            }
-            if let Some(m) = metrics {
-                m.note_retries(telemetry.retries);
-            }
-            for path in delivered_paths {
-                total_hops += path.len() - 1;
-                total_relays += path[1..path.len() - 1]
-                    .iter()
-                    .filter(|&&q| !scr.is_subscriber(q))
-                    .count();
-                tree.push_path(&path);
             }
         }
         scr.path = path;
 
-        let delivered = tree.num_paths();
+        // Ack-driven retries with bounded exponential backoff: each wave
+        // retransmits to every still-unacked subscriber, re-routing
+        // around relays observed dead.
+        let mut backoff = self.cfg.retry_backoff_ms;
+        for attempt in 1..=self.cfg.retry_max as u32 {
+            if pending.is_empty() {
+                break;
+            }
+            walk.telemetry.backoff_ms += backoff;
+            let wave = TraceEvent::RetryWave {
+                attempt,
+                backoff_ms: backoff as u32,
+            };
+            backoff = (backoff * 2).min(self.cfg.retry_backoff_ms << 8);
+            pending.retain(|&(s, ref original, journey)| {
+                walk.telemetry.retries += 1;
+                walk.event(journey, || wave);
+                let rerouted = if walk.dead.is_empty() {
+                    None
+                } else {
+                    match route_greedy_excluding(self, b, s, self.cfg.max_route_hops, &walk.dead) {
+                        RouteOutcome::Delivered { path } => Some(path),
+                        RouteOutcome::Failed { .. } => None,
+                    }
+                };
+                if let Some(via) = &rerouted {
+                    walk.telemetry.reroutes += 1;
+                    if let Some(&first) = via.get(1) {
+                        walk.event(journey, || TraceEvent::Reroute { via: first });
+                    }
+                }
+                let path = rerouted.as_deref().unwrap_or(original);
+                let delivered = walk.walk(scr, path, attempt, PathKind::Retry, journey);
+                if delivered {
+                    walk.deliver(scr, path, attempt, journey);
+                }
+                !delivered
+            });
+        }
+        walk.telemetry.residual_losses = pending.len() as u64;
+        for (s, _, journey) in pending {
+            walk.fail(s, journey);
+        }
+        if let Some(m) = walk.metrics {
+            m.note_retries(walk.telemetry.retries);
+        }
+
+        let delivered = walk.tree.num_paths();
+        let per_path = |total: usize| match delivered {
+            0 => 0.0,
+            n => total as f64 / n as f64,
+        };
         DisseminationReport {
             publisher: b,
             subscribers: subscribers.len(),
             delivered,
-            avg_hops: if delivered == 0 {
-                0.0
-            } else {
-                total_hops as f64 / delivered as f64
-            },
-            avg_relays: if delivered == 0 {
-                0.0
-            } else {
-                total_relays as f64 / delivered as f64
-            },
-            total_relays,
-            delivery: telemetry,
-            tree,
+            avg_hops: per_path(walk.total_hops),
+            avg_relays: per_path(walk.total_relays),
+            total_relays: walk.total_relays,
+            delivery: walk.telemetry,
+            tree: walk.tree,
         }
     }
 }

@@ -31,8 +31,8 @@ pub(crate) struct PublishScratch {
     /// Per-delivery receipt epoch; independent of `epoch` because one plan
     /// serves many deliveries in a batch, each with its own receipt set.
     msg_epoch: u32,
-    /// Stamp-based "peer already holds a copy" membership for the fault
-    /// path's duplicate suppression (the old per-delivery `HashSet`).
+    /// Stamp-based "peer already holds a copy" membership: the delivery
+    /// walk's duplicate suppression and relay-load dedup.
     msg_stamp: Vec<u32>,
     /// Peers with a parent assigned this publication, in insertion order.
     reached: Vec<u32>,

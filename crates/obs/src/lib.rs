@@ -12,8 +12,8 @@
 //!   recorders merge by commutative bucket addition at the superstep apply
 //!   barrier, so every metric is bit-identical at any `--threads` value.
 //! * **Low-overhead.** Histograms are fixed-size and preallocated
-//!   (HDR-style log buckets), the publish recorder reuses epoch-stamped
-//!   arenas (no clearing, no allocation on the hot path), and the flight
+//!   (HDR-style log buckets), the publish recorder's per-peer array is
+//!   sized up front (no allocation on the hot path), and the flight
 //!   recorder writes fixed-size journey slots into a preallocated ring.
 //!   Recording disabled is a branch on an `Option`.
 //! * **Exportable.** Snapshots render to the Prometheus text format or

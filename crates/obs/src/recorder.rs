@@ -4,10 +4,11 @@
 //! evaluation reports as distributions: hop count, route stretch, retry
 //! count, per-peer relay load, and delivery latency (virtual ms). The
 //! recorder is designed for the 23-allocs-per-publish budget pinned by the
-//! hot-path bench: every array is preallocated (or lazily allocated once,
-//! on first use at a given network size) and per-publish state is
-//! invalidated by bumping an epoch stamp instead of clearing — the same
-//! arena idiom as `select-core`'s `PublishScratch`.
+//! hot-path bench: every array is preallocated (or grown once, on first
+//! use at a given network size), and it keeps no per-publish state. Which
+//! sends count towards relay load — a tree prefix shared by several paths
+//! is one transmission — is decided by the publish walk, from the receipt
+//! stamps of `select-core`'s `PublishScratch`.
 
 use crate::hist::Histogram;
 
@@ -30,103 +31,19 @@ pub struct PublishRecorder {
     pub latency_ms: Histogram,
     /// Cumulative transmissions per peer, indexed by peer id.
     relay_load: Vec<u64>,
-    /// Per-publish receipt dedup stamps (scratch — excluded from equality
-    /// via always comparing equal content after `begin_publish`).
-    #[doc(hidden)]
-    seen: StampSet,
 }
-
-/// Epoch-stamped membership set over peer ids: `begin` is O(1) (epoch
-/// bump), membership test and insert are O(1), and a u32 epoch wrap
-/// triggers the one full reset per ~4 billion publishes.
-#[derive(Clone, Debug, Default)]
-struct StampSet {
-    stamp: Vec<u32>,
-    epoch: u32,
-}
-
-impl StampSet {
-    fn begin(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-        }
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-    }
-
-    /// Inserts `id`; returns true if it was not yet a member this epoch.
-    #[inline]
-    fn insert(&mut self, id: u32) -> bool {
-        let slot = &mut self.stamp[id as usize];
-        if *slot == self.epoch {
-            false
-        } else {
-            *slot = self.epoch;
-            true
-        }
-    }
-}
-
-// Scratch stamps carry no logical state between publishes, so equality and
-// hashing ignore them.
-impl PartialEq for StampSet {
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-impl Eq for StampSet {}
 
 impl PublishRecorder {
     /// A recorder with all histograms and the per-peer arrays preallocated
     /// for a network of `n` peers — nothing on the publish path allocates
     /// after this.
     pub fn preallocated(n: usize) -> Self {
-        let mut r = PublishRecorder {
+        PublishRecorder {
             hops: Histogram::preallocated(),
             stretch: Histogram::preallocated(),
             retries: Histogram::preallocated(),
             latency_ms: Histogram::preallocated(),
             relay_load: vec![0; n],
-            seen: StampSet::default(),
-        };
-        r.seen.begin(n);
-        r
-    }
-
-    /// Starts a new publish: bumps the receipt-dedup epoch and grows the
-    /// per-peer arrays if the network grew. O(1) except on growth/wrap.
-    pub fn begin_publish(&mut self, n: usize) {
-        if self.relay_load.len() < n {
-            self.relay_load.resize(n, 0);
-        }
-        self.seen.begin(n);
-    }
-
-    /// Records the transmission `from → to` if `to` has not yet received
-    /// this publish (tree paths share prefixes; only the first receipt is
-    /// a real send). Returns whether the transmission was counted.
-    #[inline]
-    pub fn note_transmission(&mut self, from: u32, to: u32) -> bool {
-        if self.seen.insert(to) {
-            self.relay_load[from as usize] += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Records a transmission unconditionally — for fault-path floods and
-    /// retransmissions, where every attempt really does cross the wire.
-    #[inline]
-    pub fn note_raw_transmission(&mut self, from: u32) {
-        if (from as usize) < self.relay_load.len() {
-            self.relay_load[from as usize] += 1;
-        } else {
-            self.relay_load.resize(from as usize + 1, 0);
-            self.relay_load[from as usize] += 1;
         }
     }
 
@@ -145,9 +62,9 @@ impl PublishRecorder {
         self.retries.record(attempts);
     }
 
-    /// Adds `sends` transmissions to `peer`'s relay load in one step — for
-    /// runtimes that tally per-peer forwards externally (e.g. from a
-    /// routing tree's fan-out) rather than edge by edge.
+    /// Adds `sends` transmissions to `peer`'s relay load, growing the
+    /// per-peer array if `peer` is beyond it.
+    #[inline]
     pub fn relay_load_add(&mut self, peer: u32, sends: u64) {
         if (peer as usize) >= self.relay_load.len() {
             self.relay_load.resize(peer as usize + 1, 0);
@@ -210,24 +127,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn transmission_dedup_per_publish() {
-        let mut r = PublishRecorder::preallocated(8);
-        r.begin_publish(8);
-        assert!(r.note_transmission(0, 1));
-        assert!(!r.note_transmission(0, 1), "second receipt is deduped");
-        assert!(!r.note_transmission(2, 1), "even from another parent");
-        assert!(r.note_transmission(1, 2));
-        assert_eq!(r.relay_load(), &[1, 1, 0, 0, 0, 0, 0, 0]);
-
-        r.begin_publish(8);
-        assert!(r.note_transmission(0, 1), "new publish resets the dedup");
-        assert_eq!(r.relay_load(), &[2, 1, 0, 0, 0, 0, 0, 0]);
-    }
-
-    #[test]
     fn delivery_populates_hops_stretch_latency() {
         let mut r = PublishRecorder::preallocated(4);
-        r.begin_publish(4);
         r.note_delivery(1, 40);
         r.note_delivery(3, 120);
         assert_eq!(r.hops.count(), 2);
@@ -242,15 +143,12 @@ mod tests {
         let mut a = PublishRecorder::preallocated(4);
         let mut b = PublishRecorder::preallocated(4);
         let mut whole = PublishRecorder::preallocated(4);
-        a.begin_publish(4);
-        b.begin_publish(4);
-        whole.begin_publish(4);
-        a.note_transmission(0, 1);
-        whole.note_transmission(0, 1);
+        a.relay_load_add(0, 1);
+        whole.relay_load_add(0, 1);
         a.note_delivery(2, 80);
         whole.note_delivery(2, 80);
-        b.note_transmission(1, 2);
-        whole.note_transmission(1, 2);
+        b.relay_load_add(1, 1);
+        whole.relay_load_add(1, 1);
         b.note_retries(2);
         whole.note_retries(2);
 
@@ -267,9 +165,8 @@ mod tests {
     #[test]
     fn relay_load_histogram_includes_idle_peers() {
         let mut r = PublishRecorder::preallocated(3);
-        r.begin_publish(3);
-        r.note_transmission(0, 1);
-        r.note_transmission(0, 2);
+        r.relay_load_add(0, 1);
+        r.relay_load_add(0, 1);
         let h = r.relay_load_histogram();
         assert_eq!(h.count(), 3, "one observation per peer");
         assert_eq!(h.max(), 2);
@@ -280,8 +177,7 @@ mod tests {
     fn reset_and_empty() {
         let mut r = PublishRecorder::preallocated(2);
         assert!(r.is_empty());
-        r.begin_publish(2);
-        r.note_transmission(0, 1);
+        r.relay_load_add(0, 1);
         r.note_retries(1);
         assert!(!r.is_empty());
         r.reset();
@@ -290,14 +186,10 @@ mod tests {
     }
 
     #[test]
-    fn epoch_wrap_resets_stamps() {
-        let mut s = StampSet::default();
-        s.begin(2);
-        assert!(s.insert(0));
-        s.epoch = u32::MAX;
-        s.stamp[1] = u32::MAX; // looks inserted at the wrapping epoch
-        s.begin(2);
-        assert_eq!(s.epoch, 1, "wrap lands on a fresh epoch, never 0");
-        assert!(s.insert(1), "stale stamp from before the wrap is invalid");
+    fn relay_load_grows_to_any_peer() {
+        let mut r = PublishRecorder::default();
+        r.relay_load_add(2, 3);
+        r.relay_load_add(0, 1);
+        assert_eq!(r.relay_load(), &[1, 0, 3]);
     }
 }
