@@ -114,7 +114,9 @@ equivalence() {
     cargo test -q --offline -p select-core recomputation_is_confined_to_changed_inputs
     cargo test -q --offline -p select-core incoming_floor_matches_the_recomputed_minimum
     cargo test -q --offline -p select-core batched_publish
-    cargo test -q --offline -p select-core early_exit
+    cargo test -q --offline -p select-core equivalence_connection_index_matches_fresh_merge
+    cargo test -q --offline -p select-core --features audit asymmetric_connection_row_is_caught
+    cargo test -q --offline -p select-core stage2_plans_match_the_exhaustive_reference
     cargo test -q --offline --test golden_state batched
 }
 

@@ -29,6 +29,13 @@
 //! * **connection-index** — if a connection index is held, every row equals
 //!   a fresh merge of that peer's tables and liveness: the writers of the
 //!   round just audited all dropped it.
+//! * **connection-symmetry** — if a connection index is held, for online
+//!   `u` and `v`, `v ∈ row(u)` exactly when `u ∈ row(v)`: the property
+//!   stage 2 of the publish planner reads rows by (`pubsub.rs`,
+//!   `plan_bucket_bfs`). Ring-symmetry and link-symmetry imply it for the
+//!   rows the next reader builds from the tables. An offline peer's own row
+//!   is exempt: it may still list online peers that have dropped it — the
+//!   row an offline publisher floods from.
 //! * **incoming-floor** — every peer's stored admission floor is the lowest
 //!   bandwidth in its full incoming set (−∞ while the set has room).
 //! * **link-cache** — every link cache the stamp rule calls valid, and the
@@ -120,6 +127,15 @@ impl SelectNetwork {
                 Some(p),
                 None,
                 "held index row differs from a fresh merge (a writer did not drop the index)"
+            );
+        }
+
+        if let Some((u, v)) = self.first_asymmetric_connection() {
+            violated!(
+                "connection-symmetry",
+                Some(u),
+                None,
+                "online peer {v} is in {u}'s connection row, but {u} is not in {v}'s"
             );
         }
 
@@ -333,6 +349,28 @@ mod tests {
         net.remove_incoming(u, p);
         let err = net.audit_overlay().unwrap_err();
         assert_eq!(err.invariant, "link-symmetry");
+    }
+
+    #[test]
+    fn asymmetric_connection_row_is_caught() {
+        let mut net = converged();
+        // A long link to a friend written past `add_long`: `u` enters `p`'s
+        // row, `p` never enters `u`'s incoming set or row. The planner's
+        // next read builds the index from those tables.
+        let (p, u) = (0..net.len() as u32)
+            .find_map(|p| {
+                let row = net.connections_of(p);
+                let u = net.online_friends(p).into_iter().find(|&u| {
+                    u != p && !row.contains(&u) && !net.connections_of(u).contains(&p)
+                })?;
+                Some((p, u))
+            })
+            .expect("some friends are not connected");
+        net.table_mut_unchecked(p).add_long(u);
+        assert!(net.connections_of(p).contains(&u));
+        assert!(!net.connections_of(u).contains(&p));
+        let err = net.audit_overlay().unwrap_err();
+        assert_eq!((err.invariant, err.peer), ("connection-symmetry", Some(p)));
     }
 
     #[test]

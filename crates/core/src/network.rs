@@ -475,6 +475,17 @@ impl SelectNetwork {
         (0..self.len() as u32).find(|&p| !self.row_is_fresh(p, index.row(p)))
     }
 
+    /// The first online pair `(u, v)` of the held connection index with
+    /// `v ∈ row(u)` but `u ∉ row(v)` — the auditor's `connection-symmetry`
+    /// invariant; `None` if every row agrees or no index is held (the next
+    /// reader builds one from the tables that `ring-symmetry` and
+    /// `link-symmetry` audit).
+    #[cfg(feature = "audit")]
+    pub(crate) fn first_asymmetric_connection(&self) -> Option<(u32, u32)> {
+        let index = self.connection_index.get()?;
+        first_asymmetric_pair(&self.online, |p| index.row(p))
+    }
+
     /// The first peer whose stored admission floor differs from its
     /// definition — the auditor's `incoming-floor` invariant.
     #[cfg(any(test, feature = "audit"))]
@@ -620,6 +631,27 @@ impl SelectNetwork {
             self.ring.insert(p, pos);
         }
     }
+}
+
+/// The first online peer `u` and peer `v` with `v ∈ row(u)` but
+/// `u ∉ row(v)`, in ascending `u` then row order. Rows of online peers hold
+/// only online peers, so this is the symmetry of the connection relation
+/// restricted to them. An offline peer's own row is exempt: it can still
+/// list online peers that have dropped it — the row an offline publisher
+/// floods from.
+#[cfg(any(test, feature = "audit"))]
+fn first_asymmetric_pair<'r>(
+    online: &[bool],
+    row: impl Fn(u32) -> &'r [u32],
+) -> Option<(u32, u32)> {
+    (0..online.len() as u32)
+        .filter(|&u| online[u as usize])
+        .find_map(|u| {
+            row(u)
+                .iter()
+                .find(|&&v| !row(v).contains(&u))
+                .map(|&v| (u, v))
+        })
 }
 
 impl Topology for SelectNetwork {
@@ -815,14 +847,26 @@ mod tests {
                         net = protocol.into_network();
                     }
                 }
+                // Every writer keeps the rows symmetric among online peers
+                // (stage 2's row check relies on it). Checked on fresh
+                // merges, which leave the index as the writer left it.
+                let rows: Vec<Vec<u32>> = (0..net.len() as u32)
+                    .map(|q| {
+                        net.merge_connections(q, &mut fresh);
+                        fresh.clone()
+                    })
+                    .collect();
+                proptest::prop_assert_eq!(
+                    first_asymmetric_pair(&net.online, |q| &rows[q as usize]), None,
+                    "step {}", i
+                );
                 // Skipped reads leave the index absent across several writes.
                 if !read {
                     continue;
                 }
-                for q in 0..net.len() as u32 {
-                    net.merge_connections(q, &mut fresh);
+                for (q, fresh) in rows.iter().enumerate() {
                     proptest::prop_assert_eq!(
-                        &net.connections_of(q), &fresh, "step {}, peer {}", i, q
+                        &net.connections_of(q as u32), fresh, "step {}, peer {}", i, q
                     );
                 }
             }

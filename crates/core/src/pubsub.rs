@@ -61,13 +61,24 @@ fn choice_for(kind: PathKind, path_len: usize, to_subscriber: bool) -> RouteChoi
 /// Fate of one physical transmission over an edge, memoized per edge on the
 /// initial flood so paths sharing a prefix share its outcome.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum EdgeFate {
+pub(crate) enum EdgeFate {
     /// Message crossed the link.
     Ok,
     /// The fault plan dropped it in flight (the sender did transmit).
     Dropped,
     /// The forwarding relay was crashed (nothing was transmitted).
     Crashed,
+}
+
+/// A subscriber whose attempt-0 path was lost, queued for the retry waves.
+/// Its path is `lost_nodes[start..end]` in the publish scratch: queued paths
+/// share one arena, like [`RoutingTree`]'s.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Lost {
+    subscriber: u32,
+    start: u32,
+    end: u32,
+    journey: Option<JourneyId>,
 }
 
 /// One publication's delivery state: the tree and report totals, what the
@@ -82,9 +93,11 @@ struct Walk<'o> {
     telemetry: DeliveryTelemetry,
     /// Fate of every directed edge attempt 0 crossed, sorted by edge (tree
     /// sized, binary-searched): each is one physical transmission, so
-    /// paths sharing a prefix share its fate. Empty without faults.
+    /// paths sharing a prefix share its fate. Empty without faults; the
+    /// buffer is the publish scratch's, lent for the walk.
     edge_fate: Vec<((u32, u32), EdgeFate)>,
-    /// Relays observed crashed, sorted — the reroute exclusion slice.
+    /// Relays observed crashed, sorted — the reroute exclusion slice (the
+    /// scratch's buffer too).
     dead: Vec<u32>,
     metrics: Option<&'o mut PublishRecorder>,
     flight: Option<&'o mut FlightRecorder>,
@@ -383,10 +396,15 @@ impl SelectNetwork {
     /// Routes a single social lookup from `p` to `target` using SELECT's
     /// preference order (direct link → lookahead → greedy).
     pub fn lookup(&self, p: u32, target: u32) -> RouteOutcome {
+        self.lookup_within(p, target, self.cfg.max_route_hops)
+    }
+
+    /// [`Self::lookup`] under a hop budget of `max_hops`.
+    fn lookup_within(&self, p: u32, target: u32, max_hops: usize) -> RouteOutcome {
         if self.cfg.use_lookahead {
-            route_with_lookahead(self, p, target, self.cfg.max_route_hops)
+            route_with_lookahead(self, p, target, max_hops)
         } else {
-            route_greedy(self, p, target, self.cfg.max_route_hops)
+            route_greedy(self, p, target, max_hops)
         }
     }
 
@@ -539,6 +557,15 @@ impl SelectNetwork {
     /// `scr`, falling back to [`Self::lookup`] for unreached subscribers.
     /// Returns how the path was produced, or `None` (leaving `out`
     /// unspecified) if `s` is unreachable.
+    ///
+    /// The shortcut lookup that may replace a chain of `k` nodes runs under
+    /// a budget of `min(max_route_hops, k − 2)` hops: only a path of fewer
+    /// nodes than the chain is accepted, and under the tighter budget the
+    /// greedy walk takes the same steps as under the full one — it stops
+    /// only where the full budget would return a path too long to accept
+    /// (the direct-link check precedes lookahead, and a greedy step reaches
+    /// the target only through that check). Decision and accepted path are
+    /// those of the unbounded [`Self::lookup`], with or without lookahead.
     #[hotpath]
     fn planned_path_into(
         &self,
@@ -561,12 +588,13 @@ impl SelectNetwork {
             // long chain through subscribers is replaced by a shorter
             // lookahead path when that path stays relay-light (≤ 1).
             if out.len() > 3 {
-                if let RouteOutcome::Delivered { path: direct } = self.lookup(b, s) {
+                let budget = self.cfg.max_route_hops.min(out.len() - 2);
+                if let RouteOutcome::Delivered { path: direct } = self.lookup_within(b, s, budget) {
                     let direct_relays = direct[1..direct.len().saturating_sub(1)]
                         .iter()
                         .filter(|&&q| !scr.is_subscriber(q))
                         .count();
-                    if direct.len() < out.len() && direct_relays <= 1 {
+                    if direct_relays <= 1 {
                         out.clear();
                         out.extend_from_slice(&direct);
                         return Some(PathKind::Routed);
@@ -589,11 +617,13 @@ impl SelectNetwork {
     /// The dissemination pipeline over a borrowed scratch arena: plan, then
     /// one delivery walk per subscriber ([`Self::deliver_planned`]). Steady
     /// path (inactive fault plan): no per-publication allocations beyond
-    /// arena growth — BFS state, membership tests, receipt stamps, frontiers
-    /// and path construction all reuse the thread-local scratch, connection
-    /// lists are borrowed rows of the network's index, and delivered paths
-    /// land directly in the tree arena. Under faults only a path lost on its
-    /// first attempt is copied, to be retried.
+    /// arena growth — BFS state, membership tests, the stage-2 want list,
+    /// receipt stamps, frontiers and path construction all reuse the
+    /// thread-local scratch, connection lists are borrowed rows of the
+    /// network's index, and delivered paths land directly in the tree
+    /// arena. Under faults the edge memo, the crash list and the retry
+    /// queue (its lost paths in one arena) are scratch buffers too; only a
+    /// reroute allocates, for the path its [`RouteOutcome`] owns.
     ///
     /// `obs` threads the optional observability hooks through the pipeline:
     /// `None` does no observation work; `Some` records metrics into the
@@ -624,18 +654,15 @@ impl SelectNetwork {
     /// index ([`SelectNetwork::connections`]): planning merges no lists.
     #[hotpath]
     fn plan_into_scratch(&self, scr: &mut PublishScratch, b: u32, subscribers: &[u32]) {
-        let missing = self.plan_social_flood(scr, b, subscribers);
-        if missing > 0 {
-            self.plan_bucket_bfs(scr, missing);
-        }
+        self.plan_social_flood(scr, b, subscribers);
+        self.plan_bucket_bfs(scr, subscribers);
     }
 
     /// Stage 1: BFS over connections restricted to {b} ∪ subscribers — the
     /// relay-free part of the tree. Depth is tracked from the publisher so
-    /// the hop budget bounds the *full* path, not a stage. Returns how many
-    /// subscribers it left without a parent.
+    /// the hop budget bounds the *full* path, not a stage.
     #[hotpath]
-    fn plan_social_flood(&self, scr: &mut PublishScratch, b: u32, subscribers: &[u32]) -> usize {
+    fn plan_social_flood(&self, scr: &mut PublishScratch, b: u32, subscribers: &[u32]) {
         scr.begin(self.len());
         for &s in subscribers {
             scr.mark_subscriber(s);
@@ -655,71 +682,102 @@ impl SelectNetwork {
                 }
             }
         }
-        subscribers.iter().filter(|&&s| !scr.has_parent(s)).count()
     }
 
     /// Stage 2: every peer holding the message keeps forwarding (§III-E
-    /// applies at every hop, not just at the publisher), so the `missing`
-    /// subscribers are reached by a multi-source BFS from the already-reached
-    /// set over the full connection graph; intermediates picked up here may
-    /// be non-subscribers — the relay nodes. Expansion goes bucket-by-bucket
-    /// in publisher-distance order, so stage-1 depth plus the stage-2
-    /// extension can never exceed the hop budget combined.
+    /// applies at every hop, not just at the publisher), so the online
+    /// subscribers stage 1 missed are reached by a multi-source BFS from the
+    /// already-reached set over the full connection graph; intermediates
+    /// picked up here are non-subscribers — the relay nodes. Expansion goes
+    /// level by level in publisher-distance order, so stage-1 depth plus
+    /// the stage-2 extension can never exceed the hop budget combined.
     ///
-    /// The level is abandoned the moment the last missing subscriber gets its
-    /// parent. Parents are first-come and never rewritten, so every
-    /// subscriber's chain is fixed by then; the rest of the level would only
-    /// parent peers at depth `d + 1` that no chain passes through, and no
-    /// deeper level would run. The plan read back by
-    /// [`Self::planned_path_into`] is therefore the exhaustive level's plan,
-    /// at on average half the cost of the last — largest — level.
+    /// The search runs from the subscribers' side. Before level `d` is
+    /// expanded it is complete, and every still-missing subscriber `s` with
+    /// a connection at level `d` takes the smallest such peer as parent, at
+    /// depth `d + 1`. That is the parent the sorted forward scan of level
+    /// `d` would give it: the scan parents `s` from the first level-`d`
+    /// peer whose row holds `s`, and for online peers `v ∈ row(u)` exactly
+    /// when `u ∈ row(v)` (the auditor's `connection-symmetry`). The one
+    /// asymmetric row, an offline publisher's own, is level 0's only peer,
+    /// and a missing subscriber is never in it — stage 1 would have reached
+    /// it. An offline subscriber is in no row and stays unparented.
+    ///
+    /// So the forward scan only ever finds relays: a level is expanded only
+    /// while a subscriber is still missing, and level `max_route_hops − 1`
+    /// never is (its children could parent nobody within the budget).
+    /// Parents are first-come and never rewritten, so every subscriber's
+    /// chain, the plan [`Self::planned_path_into`] reads back, is the one the
+    /// exhaustive level-by-level BFS records.
     #[hotpath]
-    fn plan_bucket_bfs(&self, scr: &mut PublishScratch, mut missing: usize) {
-        let max_hops = self.cfg.max_route_hops;
-        scr.ensure_buckets(max_hops + 1);
-        for i in 0..scr.reached().len() {
-            let p = scr.reached()[i];
-            let d = scr.depth_of(p);
-            scr.buckets[d].push(p);
-        }
-        let mut d = 0usize;
-        while d < max_hops && missing > 0 {
-            let mut frontier = std::mem::take(&mut scr.buckets[d]);
-            frontier.sort_unstable(); // deterministic expansion order
-            'level: for &u in &frontier {
-                for &v in self.connections(u) {
-                    if !scr.has_parent(v) {
-                        scr.set_parent(v, u, d + 1);
-                        scr.buckets[d + 1].push(v);
-                        if scr.is_subscriber(v) {
-                            missing -= 1;
-                            if missing == 0 {
-                                break 'level;
-                            }
+    fn plan_bucket_bfs(&self, scr: &mut PublishScratch, subscribers: &[u32]) {
+        let mut want = std::mem::take(&mut scr.want);
+        want.clear();
+        want.extend(
+            subscribers
+                .iter()
+                .copied()
+                .filter(|&s| !scr.has_parent(s) && self.is_peer_online(s)),
+        );
+        if !want.is_empty() {
+            let max_hops = self.cfg.max_route_hops;
+            scr.ensure_buckets(max_hops + 1);
+            for i in 0..scr.reached().len() {
+                let p = scr.reached()[i];
+                let d = scr.depth_of(p);
+                scr.buckets[d].push(p);
+            }
+            for d in 0..max_hops {
+                want.retain(|&s| {
+                    if scr.has_parent(s) {
+                        return false; // a repeated subscriber, placed already
+                    }
+                    let parent = self
+                        .connections(s)
+                        .iter()
+                        .copied()
+                        .filter(|&u| scr.depth_if_reached(u) == Some(d))
+                        .min();
+                    if let Some(u) = parent {
+                        scr.set_parent(s, u, d + 1);
+                        scr.buckets[d + 1].push(s);
+                    }
+                    parent.is_none()
+                });
+                if want.is_empty() || d + 1 == max_hops {
+                    break;
+                }
+                let mut frontier = std::mem::take(&mut scr.buckets[d]);
+                frontier.sort_unstable(); // deterministic expansion order
+                for &u in &frontier {
+                    for &v in self.connections(u) {
+                        if !scr.has_parent(v) {
+                            scr.set_parent(v, u, d + 1);
+                            scr.buckets[d + 1].push(v);
                         }
                     }
                 }
+                frontier.clear();
+                scr.buckets[d] = frontier; // hand the capacity back
             }
-            frontier.clear();
-            scr.buckets[d] = frontier; // hand the capacity back
-            d += 1;
         }
+        scr.want = want;
     }
 
     /// The delivery half of the pipeline: walks the BFS plan recorded in
     /// `scr` by [`Self::plan_into_scratch`] and produces the report for one
     /// publication `nonce`. Never mutates the plan (only the reusable path
-    /// buffer is taken and restored), so it can run any number of times over
-    /// one plan — fault schedules and observation are per-nonce, the
-    /// traversal is shared.
+    /// and fault buffers are taken and restored), so it can run any number
+    /// of times over one plan — fault schedules and observation are
+    /// per-nonce, the traversal is shared.
     ///
     /// One walk serves both regimes. Each subscriber's planned path is
     /// walked once as attempt 0; a delivered path goes straight into the
-    /// tree, a lost one waits in `pending` for the ack-driven retry waves,
-    /// which walk it (or a reroute around observed-dead relays) again. With
-    /// the fault plan inactive nothing is drawn, every edge crosses, and
-    /// `pending` stays empty — the fault-free publish is that walk with no
-    /// draws and zero telemetry.
+    /// tree, a lost one is queued (its path copied into the scratch's lost
+    /// arena) for the ack-driven retry waves, which walk it (or a reroute
+    /// around observed-dead relays) again. With the fault plan inactive
+    /// nothing is drawn, every edge crosses, and the queue stays empty —
+    /// the fault-free publish is that walk with no draws and zero telemetry.
     #[hotpath]
     fn deliver_planned(
         &self,
@@ -728,6 +786,20 @@ impl SelectNetwork {
         subscribers: &[u32],
         nonce: u64,
         obs: Option<&mut Observer>,
+    ) -> DisseminationReport {
+        self.deliver_along(scr, b, subscribers, nonce, obs, Self::planned_path_into)
+    }
+
+    /// [`Self::deliver_planned`] with the per-subscriber path builder as a
+    /// parameter (the reference planner in the tests brings its own).
+    fn deliver_along(
+        &self,
+        scr: &mut PublishScratch,
+        b: u32,
+        subscribers: &[u32],
+        nonce: u64,
+        obs: Option<&mut Observer>,
+        path_of: impl Fn(&Self, u32, u32, &PublishScratch, &mut Vec<u32>) -> Option<PathKind>,
     ) -> DisseminationReport {
         let (metrics, flight) = match obs {
             Some(o) => (Some(&mut o.metrics), o.flight.as_mut()),
@@ -740,8 +812,8 @@ impl SelectNetwork {
             seed: self.cfg.seed,
             latency: osn_sim::LinkModel::default(),
             telemetry: DeliveryTelemetry::default(),
-            edge_fate: Vec::new(),
-            dead: Vec::new(),
+            edge_fate: std::mem::take(&mut scr.edge_fate),
+            dead: std::mem::take(&mut scr.dead),
             metrics,
             flight,
             tree: RoutingTree::new(b),
@@ -753,17 +825,24 @@ impl SelectNetwork {
         scr.begin_delivery(self.len());
         scr.first_receipt(b);
         let mut path = std::mem::take(&mut scr.path);
-        let mut pending: Vec<(u32, Vec<u32>, Option<JourneyId>)> = Vec::new();
+        let mut pending = std::mem::take(&mut scr.lost);
+        let mut lost_nodes = std::mem::take(&mut scr.lost_nodes);
         for &s in subscribers {
             let journey = walk.begin(s);
-            match self.planned_path_into(b, s, scr, &mut path) {
+            match path_of(self, b, s, scr, &mut path) {
                 None => walk.fail(s, journey),
                 Some(kind) => {
                     if walk.walk(scr, &path, 0, kind, journey) {
                         walk.deliver(scr, &path, 0, journey);
                     } else {
-                        // selint: allow(hotpath-alloc, only a path lost to an injected fault is kept for its retries)
-                        pending.push((s, path.clone(), journey));
+                        let start = lost_nodes.len() as u32;
+                        lost_nodes.extend_from_slice(&path);
+                        pending.push(Lost {
+                            subscriber: s,
+                            start,
+                            end: lost_nodes.len() as u32,
+                            journey,
+                        });
                     }
                 }
             }
@@ -784,7 +863,8 @@ impl SelectNetwork {
                 backoff_ms: backoff as u32,
             };
             backoff = (backoff * 2).min(self.cfg.retry_backoff_ms << 8);
-            pending.retain(|&(s, ref original, journey)| {
+            pending.retain(|lost| {
+                let (s, journey) = (lost.subscriber, lost.journey);
                 walk.telemetry.retries += 1;
                 walk.event(journey, || wave);
                 let rerouted = if walk.dead.is_empty() {
@@ -801,6 +881,7 @@ impl SelectNetwork {
                         walk.event(journey, || TraceEvent::Reroute { via: first });
                     }
                 }
+                let original = &lost_nodes[lost.start as usize..lost.end as usize];
                 let path = rerouted.as_deref().unwrap_or(original);
                 let delivered = walk.walk(scr, path, attempt, PathKind::Retry, journey);
                 if delivered {
@@ -810,12 +891,18 @@ impl SelectNetwork {
             });
         }
         walk.telemetry.residual_losses = pending.len() as u64;
-        for (s, _, journey) in pending {
-            walk.fail(s, journey);
+        for lost in pending.drain(..) {
+            walk.fail(lost.subscriber, lost.journey);
         }
         if let Some(m) = walk.metrics {
             m.note_retries(walk.telemetry.retries);
         }
+        // Hand the fault buffers back, emptied, with their capacity.
+        lost_nodes.clear();
+        walk.edge_fate.clear();
+        walk.dead.clear();
+        (scr.lost, scr.lost_nodes) = (pending, lost_nodes);
+        (scr.edge_fate, scr.dead) = (walk.edge_fate, walk.dead);
 
         let delivered = walk.tree.num_paths();
         let per_path = |total: usize| match delivered {
@@ -841,6 +928,7 @@ mod tests {
     use crate::config::SelectConfig;
     use osn_graph::generators::{BarabasiAlbert, Generator};
     use osn_graph::UserId;
+    use std::cell::RefCell;
 
     fn converged(seed: u64) -> SelectNetwork {
         let g = BarabasiAlbert::with_closure(150, 4, 0.4).generate(seed);
@@ -1183,33 +1271,42 @@ mod tests {
         );
     }
 
-    /// Where the exhaustive stage 2 parented its last missing subscriber:
-    /// how many peers the closing level parented in all, and the position of
-    /// that subscriber among them. `closing` is `None` when stage 2 ran out
-    /// of hop budget with a subscriber still missing.
+    /// What the exhaustive planner met in one publication: where stage 2
+    /// placed the subscribers stage 1 missed, and how the §III-E shortcut
+    /// check decided.
     #[derive(Debug, Default)]
-    struct Stage2Shape {
-        level_children: usize,
-        closing: Option<usize>,
+    struct Shape {
+        /// The level (parent depth) at which stage 2 placed each subscriber.
+        placed_at: Vec<usize>,
+        /// A subscriber placed by stage 2 is the parent of another.
+        subscriber_relays: bool,
+        /// An online subscriber was still missing when the budget ran out.
+        unreachable: bool,
+        /// Shortcut checks whose lookup path replaced the chain.
+        shortcut_accepted: usize,
+        /// Shortcut checks whose unbounded lookup delivered a path with no
+        /// fewer nodes than the chain — where the budgeted lookup stops.
+        shortcut_too_long: usize,
     }
 
     impl SelectNetwork {
-        /// The planner as it was before the early exit: stage 2 copies out
-        /// a connection list per expansion and always finishes the level it
-        /// is in. (Each list is checked against a fresh merge by the debug
-        /// assertion in [`SelectNetwork::connections`].)
-        fn plan_reference(
-            &self,
-            scr: &mut PublishScratch,
-            b: u32,
-            subscribers: &[u32],
-        ) -> Option<Stage2Shape> {
-            let mut missing = self.plan_social_flood(scr, b, subscribers);
-            if missing == 0 {
-                return None;
+        /// The planner as it was before the row check: stage 2 copies out a
+        /// connection list per expansion and expands every level within the
+        /// hop budget, whatever is still missing. (Each list is checked
+        /// against a fresh merge by the debug assertion in
+        /// [`SelectNetwork::connections`].)
+        fn plan_reference(&self, scr: &mut PublishScratch, b: u32, subscribers: &[u32]) -> Shape {
+            self.plan_social_flood(scr, b, subscribers);
+            let missing: Vec<u32> = subscribers
+                .iter()
+                .copied()
+                .filter(|&s| !scr.has_parent(s) && self.is_peer_online(s))
+                .collect();
+            let mut shape = Shape::default();
+            if missing.is_empty() {
+                return shape;
             }
             let max_hops = self.cfg.max_route_hops;
-            let mut shape = Stage2Shape::default();
             let mut conn = Vec::new();
             scr.ensure_buckets(max_hops + 1);
             for i in 0..scr.reached().len() {
@@ -1217,47 +1314,92 @@ mod tests {
                 let d = scr.depth_of(p);
                 scr.buckets[d].push(p);
             }
-            let mut d = 0usize;
-            while d < max_hops && missing > 0 {
+            for d in 0..max_hops {
                 let mut frontier = std::mem::take(&mut scr.buckets[d]);
                 frontier.sort_unstable();
-                shape.level_children = 0;
                 for &u in &frontier {
                     self.connections_of_into(u, &mut conn);
                     for &v in &conn {
                         if !scr.has_parent(v) {
                             scr.set_parent(v, u, d + 1);
                             scr.buckets[d + 1].push(v);
-                            if scr.is_subscriber(v) {
-                                missing -= 1;
-                                if missing == 0 {
-                                    shape.closing = Some(shape.level_children);
-                                }
+                            if missing.contains(&v) {
+                                shape.placed_at.push(d);
+                                shape.subscriber_relays |= missing.contains(&u);
                             }
-                            shape.level_children += 1;
                         }
                     }
                 }
                 frontier.clear();
                 scr.buckets[d] = frontier;
-                d += 1;
             }
-            Some(shape)
+            shape.unreachable = missing.iter().any(|&s| !scr.has_parent(s));
+            shape
         }
 
-        /// One publication planned by [`Self::plan_reference`] and delivered
-        /// by the production delivery half.
-        fn publish_reference(
+        /// [`Self::planned_path_into`] as it was before the shortcut budget:
+        /// the shortcut check runs the unbounded [`Self::lookup`]. Counts
+        /// the check's decisions into `shape`.
+        fn reference_path_into(
             &self,
             b: u32,
+            s: u32,
+            scr: &PublishScratch,
+            out: &mut Vec<u32>,
+            shape: &RefCell<Shape>,
+        ) -> Option<PathKind> {
+            if !scr.has_parent(s) {
+                return match self.lookup(b, s) {
+                    RouteOutcome::Delivered { path } => {
+                        out.clone_from(&path);
+                        Some(PathKind::Routed)
+                    }
+                    RouteOutcome::Failed { .. } => None,
+                };
+            }
+            out.clear();
+            out.push(s);
+            while *out.last().unwrap() != b {
+                out.push(scr.parent_of(*out.last().unwrap()));
+            }
+            out.reverse();
+            if out.len() > 3 {
+                if let RouteOutcome::Delivered { path: direct } = self.lookup(b, s) {
+                    let relays = direct[1..direct.len() - 1]
+                        .iter()
+                        .filter(|&&q| !scr.is_subscriber(q))
+                        .count();
+                    if direct.len() < out.len() && relays <= 1 {
+                        shape.borrow_mut().shortcut_accepted += 1;
+                        out.clone_from(&direct);
+                        return Some(PathKind::Routed);
+                    }
+                    if direct.len() >= out.len() {
+                        shape.borrow_mut().shortcut_too_long += 1;
+                    }
+                }
+            }
+            Some(PathKind::Flood)
+        }
+
+        /// One dissemination planned by [`Self::plan_reference`], its paths
+        /// built by [`Self::reference_path_into`], and delivered by the
+        /// production delivery walk.
+        fn disseminate_reference(
+            &self,
+            b: u32,
+            subscribers: &[u32],
             nonce: u64,
             obs: Option<&mut Observer>,
-        ) -> (DisseminationReport, Option<Stage2Shape>) {
+        ) -> (DisseminationReport, Shape) {
             PUBLISH_SCRATCH.with(|cell| {
                 let scr = &mut *cell.borrow_mut();
-                let subs = self.online_friends(b);
-                let shape = self.plan_reference(scr, b, &subs);
-                (self.deliver_planned(scr, b, &subs, nonce, obs), shape)
+                let shape = RefCell::new(self.plan_reference(scr, b, subscribers));
+                let report =
+                    self.deliver_along(scr, b, subscribers, nonce, obs, |net, b, s, scr, out| {
+                        net.reference_path_into(b, s, scr, out, &shape)
+                    });
+                (report, shape.into_inner())
             })
         }
     }
@@ -1267,50 +1409,82 @@ mod tests {
         flight.journeys().map(|j| j.to_string()).collect()
     }
 
-    /// Which stage-2 shapes a sweep of [`assert_matches_reference`] met.
+    /// Which planner shapes a sweep of [`assert_matches_reference`] met.
     #[derive(Debug, Default)]
     struct Coverage {
         stage2: usize,
-        closed_by_first_child: usize,
-        closed_by_last_child: usize,
+        /// A subscriber placed by the row check at level ≥ 2.
+        placed_deep: usize,
+        /// A level that placed a subscriber was still expanded, because a
+        /// deeper one remained.
+        expanded_for_deeper: usize,
+        /// A subscriber stage 1 missed relays for another.
+        subscriber_relays: usize,
+        /// A subscriber unreachable within `max_route_hops`.
         unreachable: usize,
+        /// Shortcut checks accepted / rejected as too long, with lookahead
+        /// on (`[1]`) and off (`[0]`).
+        shortcut_accepted: [usize; 2],
+        shortcut_too_long: [usize; 2],
+        /// `disseminate_at` calls with an offline subscriber in the list.
+        offline_subscriber: usize,
+    }
+
+    impl Coverage {
+        fn note(&mut self, shape: &Shape, lookahead: bool) {
+            let look = usize::from(lookahead);
+            self.shortcut_accepted[look] += shape.shortcut_accepted;
+            self.shortcut_too_long[look] += shape.shortcut_too_long;
+            if shape.placed_at.is_empty() && !shape.unreachable {
+                return;
+            }
+            self.stage2 += 1;
+            let levels = shape.placed_at.iter();
+            self.placed_deep += usize::from(levels.clone().any(|&d| d >= 2));
+            let (lo, hi) = (levels.clone().min(), levels.max());
+            self.expanded_for_deeper += usize::from(lo < hi);
+            self.subscriber_relays += usize::from(shape.subscriber_relays);
+            self.unreachable += usize::from(shape.unreachable);
+        }
     }
 
     /// Every online publisher of `n`: `publish_at`, `publish_observed`
-    /// (journeys included) and `publish_batch_at` against the reference
-    /// planner.
+    /// (journeys included), `publish_batch_at` and `disseminate_at` (every
+    /// subscriber repeated, plus an offline peer when there is one) against
+    /// the reference planner.
     fn assert_matches_reference(n: &SelectNetwork, ctx: &str, seen: &mut Coverage) {
+        let offline = (0..n.len() as u32).find(|&p| !n.is_peer_online(p));
         for b in (0..n.len() as u32).filter(|&b| n.is_peer_online(b)) {
             let nonce = 1_000 + b as u64;
             let ctx = format!("{ctx}, publisher {b}");
-            let (want, shape) = n.publish_reference(b, nonce, None);
+            let subs = n.online_friends(b);
+            let (want, shape) = n.disseminate_reference(b, &subs, nonce, None);
             assert_reports_equal(&n.publish_at(b, nonce), &want, &ctx);
+            seen.note(&shape, n.cfg.use_lookahead);
             for (i, r) in n.publish_batch_at(b, nonce, 2).iter().enumerate() {
-                let (want, _) = n.publish_reference(b, nonce + i as u64, None);
+                let (want, _) = n.disseminate_reference(b, &subs, nonce + i as u64, None);
                 assert_reports_equal(r, &want, &format!("{ctx}, batch slot {i}"));
             }
             let mut obs = Observer::for_peers(n.len()).with_tracing(512);
             let mut obs_ref = Observer::for_peers(n.len()).with_tracing(512);
             let got = n.publish_observed(b, nonce, &mut obs);
-            let (want, _) = n.publish_reference(b, nonce, Some(&mut obs_ref));
+            let (want, _) = n.disseminate_reference(b, &subs, nonce, Some(&mut obs_ref));
             assert_reports_equal(&got, &want, &format!("{ctx}, observed"));
             assert_eq!(obs.metrics, obs_ref.metrics, "{ctx}: metrics");
             assert_eq!(journeys(&obs), journeys(&obs_ref), "{ctx}: journeys");
 
-            if let Some(shape) = shape {
-                seen.stage2 += 1;
-                match shape.closing {
-                    None => seen.unreachable += 1,
-                    Some(0) => seen.closed_by_first_child += 1,
-                    Some(i) if i + 1 == shape.level_children => seen.closed_by_last_child += 1,
-                    Some(_) => {}
-                }
-            }
+            let mut listed = subs.clone();
+            listed.extend_from_within(..);
+            listed.extend(offline);
+            seen.offline_subscriber += usize::from(offline.is_some());
+            let (want, _) = n.disseminate_reference(b, &listed, nonce, None);
+            let got = n.disseminate_at(b, listed, nonce);
+            assert_reports_equal(&got, &want, &format!("{ctx}, disseminate_at"));
         }
     }
 
     #[test]
-    fn early_exit_plans_match_the_exhaustive_reference() {
+    fn stage2_plans_match_the_exhaustive_reference() {
         let mut seen = Coverage::default();
         for seed in 30u64..36 {
             let g = BarabasiAlbert::with_closure(150, 3, 0.3).generate(seed);
@@ -1330,6 +1504,8 @@ mod tests {
                     )
                     .with_retry_max(3);
             }
+            // Plain greedy shortcut lookups on another third.
+            cfg.use_lookahead = seed % 3 != 2;
             let mut n = SelectNetwork::bootstrap(g, cfg);
             // Stopped mid-convergence: few long links, deep stage-2 floods.
             assert_matches_reference(&n, &format!("seed {seed}, bootstrap"), &mut seen);
@@ -1346,12 +1522,17 @@ mod tests {
             n.gossip_round();
             assert_matches_reference(&n, &format!("seed {seed}, repaired"), &mut seen);
         }
+        let shortcuts = |c: [usize; 2]| c.iter().all(|&k| k > 0);
         assert!(
-            seen.closed_by_first_child > 0
-                && seen.closed_by_last_child > 0
+            seen.placed_deep > 0
+                && seen.expanded_for_deeper > 0
+                && seen.subscriber_relays > 0
                 && seen.unreachable > 0
+                && shortcuts(seen.shortcut_accepted)
+                && shortcuts(seen.shortcut_too_long)
+                && seen.offline_subscriber > 0
                 && seen.stage2 > 100,
-            "sweep missed a stage-2 shape: {seen:?}"
+            "sweep missed a planner shape: {seen:?}"
         );
     }
 

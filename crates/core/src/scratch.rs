@@ -1,12 +1,13 @@
 //! Per-thread scratch state for the publish pipeline.
 //!
 //! A publication needs a parent/depth map for the two BFS stages, a
-//! subscriber membership test, per-depth frontier pools and a handful of
-//! list buffers. Allocating those per publish dominated the hot path, so
+//! subscriber membership test, per-depth frontier pools, the delivery
+//! walk's fault-path buffers and a handful of list buffers. Allocating those per publish dominated the hot path, so
 //! they live in one thread-local [`PublishScratch`] and are recycled with
 //! an epoch stamp: bumping the epoch invalidates every entry in O(1), no
 //! clearing pass, no hashing.
 
+use crate::pubsub::{EdgeFate, Lost};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 
@@ -38,12 +39,22 @@ pub(crate) struct PublishScratch {
     reached: Vec<u32>,
     /// Per-depth frontier pools for the stage-2 bucket BFS.
     pub buckets: Vec<Vec<u32>>,
+    /// Stage 2's still-missing online subscribers.
+    pub want: Vec<u32>,
     /// Stage-1 BFS queue.
     pub queue: VecDeque<u32>,
     /// Path-construction buffer.
     pub path: Vec<u32>,
     /// Subscriber-list buffer for `publish_at`.
     pub subs: Vec<u32>,
+    /// The delivery walk's attempt-0 edge memo under faults.
+    pub edge_fate: Vec<((u32, u32), EdgeFate)>,
+    /// The delivery walk's relays observed crashed, sorted.
+    pub dead: Vec<u32>,
+    /// Subscribers queued for retry waves after a lost first attempt.
+    pub lost: Vec<Lost>,
+    /// The queued subscribers' paths, concatenated.
+    pub lost_nodes: Vec<u32>,
 }
 
 impl PublishScratch {
@@ -145,6 +156,13 @@ impl PublishScratch {
     pub fn depth_of(&self, v: u32) -> usize {
         debug_assert!(self.has_parent(v));
         self.depth[v as usize] as usize
+    }
+
+    /// The publisher-distance of `v` if it has been reached this
+    /// publication.
+    #[inline]
+    pub fn depth_if_reached(&self, v: u32) -> Option<usize> {
+        self.has_parent(v).then(|| self.depth[v as usize] as usize)
     }
 
     /// The peers reached so far, in assignment order.
