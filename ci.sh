@@ -130,8 +130,12 @@ codec() {
     cargo test -q --offline -p osn-net --test codec_props
 }
 
+# `socket` selects the TCP contract runs (`socket::`, `socket_one_shard::`,
+# `socket_three_shards::`) and the family's own tests; the budget test
+# spawns 1,000 peers inside the descriptor limit it promises.
 socket_smoke() {
-    cargo test -q --offline -p osn-net --release socket::
+    cargo test -q --offline -p osn-net --release --lib socket
+    ( ulimit -n 1024; cargo test -q --offline -p osn-net --release --test socket_budget )
 }
 
 conformance() {
@@ -206,7 +210,8 @@ run "incremental-vs-rebuild equivalence (delta LSH/strength state, link-cache st
     stage-2 early exit vs the exhaustive reference planner)" equivalence
 run "overlay auditor (every invariant on every round, plus the golden pin)" audit
 run "wire suite: codec (round-trips + hostile-input rejection, no panics)" codec
-run "wire suite: loopback TCP smoke (200-peer socket fan-out, paper payload)" socket_smoke
+run "wire suite: loopback TCP smoke (contract at derived, 1 and 3 shards; 200-peer
+    fan-out; 1,000 peers under ulimit -n 1024)" socket_smoke
 run "wire suite: cross-transport conformance (inproc vs TCP delivery sets)" conformance
 run "reference benchmark: harness tests + every workload's oracle (smoke sizes)" reference_benchmark
 if [ "${CI_MIRI:-0}" = "1" ]; then

@@ -25,13 +25,9 @@
 //! cannot OOM the receiver. Trailing bytes after a well-formed message are
 //! an error — a frame means exactly one message.
 //!
-//! Versioning: `magic` rejects non-SELECT traffic outright; `version` is
-//! bumped whenever any message's field layout changes, and decoders reject
-//! versions they do not know. Version 2 appended the optional `trace` field
-//! to the publish/ack/probe bodies; decoders still accept version-1 frames
-//! — the v1 byte layout is an exact prefix of v2's, so they decode
-//! losslessly with `trace: None`. Tags are append-only (see
-//! [`select_core::wire::WireMsg::tag`]).
+//! Versioning: `magic` rejects non-SELECT traffic, decoders reject versions
+//! they do not know (see [`WIRE_VERSION`], [`MIN_WIRE_VERSION`]), and tags
+//! are append-only (see [`select_core::wire::WireMsg::tag`]).
 
 #![deny(
     clippy::indexing_slicing,
@@ -46,16 +42,14 @@
 
 use bytes::Bytes;
 use select_core::wire::{ChildMap, TraceContext, WireMsg};
-use std::io::{Read, Write};
+use std::io::Read;
 use std::sync::Arc;
 
 /// Frame magic: rejects non-SELECT traffic on a shared port.
 pub const MAGIC: u16 = 0x5EC7;
 
-/// Current wire-format version. Bump on any field-layout change.
-///
-/// v1 → v2: publish/ack/probe bodies gained a trailing optional
-/// [`TraceContext`]. Decoders accept both; see [`MIN_WIRE_VERSION`].
+/// Current wire-format version, bumped on any field-layout change. v2 added
+/// a trailing optional [`TraceContext`] to publish/ack/probe bodies.
 pub const WIRE_VERSION: u8 = 2;
 
 /// Oldest wire-format version this codec still decodes. v1 frames carry no
@@ -63,10 +57,8 @@ pub const WIRE_VERSION: u8 = 2;
 /// [`WIRE_VERSION`].
 pub const MIN_WIRE_VERSION: u8 = 1;
 
-/// Upper bound on one frame's body, in bytes. Comfortably above the paper's
-/// 1.2 MB payload plus any realistic forwarding plan, and small enough that
-/// a corrupt length prefix cannot make a receiver allocate unbounded
-/// memory.
+/// Upper bound on one frame's body, in bytes: well above the paper's 1.2 MB
+/// payload, small enough that a corrupt prefix cannot exhaust memory.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
 /// Why a frame failed to decode.
@@ -511,13 +503,6 @@ pub fn decode(buf: &[u8]) -> Result<(WireMsg, usize), WireError> {
 
 // ----------------------------------------------------------------- streams
 
-/// Writes one frame to `w` (buffered by the caller if throughput matters).
-pub fn write_frame(w: &mut impl Write, msg: &WireMsg) -> Result<(), WireError> {
-    let frame = encode(msg)?;
-    w.write_all(&frame)?;
-    Ok(())
-}
-
 /// Reads one frame from `r`. Returns `Ok(None)` on clean end-of-stream (EOF
 /// exactly at a frame boundary); EOF mid-frame, an oversized length prefix
 /// or a malformed body are errors.
@@ -867,7 +852,7 @@ mod tests {
         let msgs = sample_msgs();
         let mut stream = Vec::new();
         for m in &msgs {
-            write_frame(&mut stream, m).unwrap();
+            encode_into(m, &mut stream).unwrap();
         }
         let mut r = &stream[..];
         for expected in &msgs {

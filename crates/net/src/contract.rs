@@ -5,10 +5,11 @@
 //! [`publish_over`], so it states what *any* family owes the publish
 //! driver. [`contract_suite!`] instantiates the lot as `channel::` (on the
 //! derived worker count), `channel_one_worker::` and
-//! `channel_three_workers::` (through the test seam), `throttled::` and
-//! `socket::` (ci.sh's `socket::` filter selects the TCP run). What only
-//! one family can promise — TCP addresses and garbage handling, the
-//! throttle's arrival timing — stays in that family's own test module.
+//! `channel_three_workers::` (through the test seam), `throttled::`, and
+//! `socket::`, `socket_one_shard::` and `socket_three_shards::` (ci.sh's
+//! `socket` filter selects the TCP runs). What only one family can promise
+//! — TCP addresses and garbage handling, the throttle's arrival timing —
+//! stays in that family's own test module.
 
 use crate::codec::encoded_frame_len;
 use crate::runtime::{Link, PeerNetwork};
@@ -196,6 +197,7 @@ fn stats_count_every_frame_per_tag<L: Link>(spawn: impl Fn(usize, FaultPlan) -> 
     // Fault-free star 0 -> {1, 2, 3}: every count below is a pure function
     // of the tree, so this doubles as the determinism pin.
     let mut net = spawn(4, FaultPlan::disabled());
+    let shards = net.workers() as u64;
     let paths: Vec<Vec<u32>> = (1..=3u32).map(|c| vec![0, c]).collect();
     let t = tree(0, paths);
     let r = publish_over(
@@ -219,10 +221,10 @@ fn stats_count_every_frame_per_tag<L: Link>(spawn: impl Fn(usize, FaultPlan) -> 
     assert_eq!(snap.retransmissions, 0);
     assert_eq!(snap.ack_window_expiries, 0);
     assert_eq!(snap.garbage_frames, 0);
-    // In-process there are no sockets; on TCP each of the four peers that
-    // received a data-plane frame (injection, forwards, shutdowns) had one
-    // session opened to it, reused by every later sender.
-    assert_eq!(snap.reconnects, if L::IN_PROCESS { 0 } else { 4 });
+    // In-process there are no sockets; on TCP every shard received a
+    // data-plane frame (injection, forwards, shutdowns) and had one session
+    // opened to it, reused by every later sender.
+    assert_eq!(snap.reconnects, if L::IN_PROCESS { 0 } else { shards });
     // Untraced publish frames carry a 1-byte absent-trace marker: header 8
     // + pub_id 8 + attempt 4 + publisher 4 + child map (4 + (4 + 4 + 3*4))
     // + payload (4 + 1) + trace 1.
@@ -341,4 +343,10 @@ contract_suite!(throttled, |n, plan| {
 });
 contract_suite!(socket, |n, plan| {
     crate::SocketNetwork::spawn_with_faults(n, plan, 0).expect("loopback listeners")
+});
+contract_suite!(socket_one_shard, |n, plan| {
+    crate::SocketNetwork::spawn_on(1, n, plan, 0).expect("loopback listeners")
+});
+contract_suite!(socket_three_shards, |n, plan| {
+    crate::SocketNetwork::spawn_on(3, n, plan, 0).expect("loopback listeners")
 });

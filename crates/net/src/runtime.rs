@@ -1,33 +1,18 @@
 //! The peer runtime: **one** step function, **one** pump and **one**
-//! driver, generic over a [`Link`].
+//! driver, generic over a [`Link`] — the stand-in for the paper's WebRTC
+//! browser peers (DESIGN.md §12).
 //!
-//! The stand-in for the paper's WebRTC browser peers. What a peer *does*
-//! with a frame — dedup by publication id, ack before forwarding, re-stamp
-//! the trace context, draw the fault plan's fate per child, answer probes,
-//! stop on shutdown — is written once, in [`PeerState::on_frame`]: a step
-//! that never blocks. It emits event frames for the driver and forwards
-//! stamped with the earliest wall time they may leave (the peer's uplink
-//! clock plus pace plus jitter). A **pump** runs that step for a contiguous
-//! range of peers on one worker thread: forwards inside the range are local
-//! queue pushes, delayed ones wait in a `(not_before, seq)` queue, and the
-//! rest arrives through the worker's [`Link`]. Only how a frame reaches
-//! another worker differs between runtimes, behind [`Peers`] (the address
-//! table the driver's injections and cross-worker forwards go through) and
-//! [`Link`] (one worker's endpoint: inbound frames, events to the driver).
-//!
-//! Three link families implement them: crossbeam channels ([`ChannelLink`]
-//! — the **reference transport**: all peers on
-//! `max(1, available_parallelism − 1)` workers, deterministic, fast), the
-//! same channels with paced uplinks ([`crate::throttled`]) and loopback TCP
-//! ([`crate::socket`]: one peer per worker, its link being one listener).
-//! [`PeerNetwork`] is the one driver — spawn, readiness handshake, publish,
-//! probe, shutdown, the single [`Transport`] impl — and the public network
-//! types are aliases of it. The pump is monomorphised per family: no `dyn`
-//! sits between a frame's arrival and its forwards.
-//!
-//! The runtime checks *behaviour* (every subscriber receives exactly one
-//! copy, forwarding follows the tree, concurrent publications don't
-//! interfere); timing fidelity is the job of [`crate::timing`].
+//! What a peer does with a frame is written once, in the non-blocking
+//! [`PeerState::on_frame`]. A **pump** runs it for a contiguous range of
+//! peers on one worker thread: forwards inside the range are local queue
+//! pushes, delayed ones wait in a `(not_before, seq)` queue, the rest
+//! arrives through the worker's [`Link`]. Families differ only behind
+//! [`Peers`] (the address table injections and cross-worker forwards use)
+//! and [`Link`]: channels ([`ChannelLink`], the deterministic reference),
+//! paced channels ([`crate::throttled`]) and loopback TCP
+//! ([`crate::socket`]), all on `max(1, cores − 1)` workers. [`PeerNetwork`]
+//! is the one driver, and the pump is monomorphised per family. The
+//! runtime checks *behaviour*; timing fidelity is [`crate::timing`]'s job.
 
 #![deny(
     clippy::indexing_slicing,
@@ -40,7 +25,7 @@
 )]
 #![deny(clippy::wildcard_enum_match_arm)]
 
-use crate::codec::{encoded_frame_len, WireError};
+use crate::codec::encoded_frame_len;
 use crate::stats::TransportStats;
 use crate::transport::{publish_over, PeerAddr, PublishResult, Transport};
 use bytes::Bytes;
@@ -52,6 +37,7 @@ use osn_sim::{FaultPlan, FrameFate};
 use select_core::pubsub::RoutingTree;
 use select_core::wire::{children_for, TraceContext, WireMsg};
 use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::convert::Infallible;
 use std::io;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -82,37 +68,38 @@ pub trait Peers: Clone + Send + 'static {
         None
     }
 
-    /// Carries `frame` to peer `to`. Returns `false` if there is no such
-    /// peer or it is no longer reachable. `stats` is for what only the
-    /// family can see (TCP's session connects); frame counting is the
-    /// caller's.
+    /// Carries `frame` to peer `to`; `false` if there is no such peer or it
+    /// is unreachable. `stats` is for what only the family sees (connects).
     fn carry(&self, to: u32, frame: &Self::Frame, stats: &TransportStats) -> bool;
 
     /// Records that `peer` took its Shutdown: later carries to it are
-    /// refused. Default: nothing (a one-peer worker's endpoint closes).
-    fn stop(&self, _peer: u32) {}
+    /// refused.
+    fn stop(&self, peer: u32);
+
+    /// Pushes out frames [`Peers::carry`] left buffered. Runs after every
+    /// driver injection; a family that buffers also flushes before its
+    /// links block. Default: nothing is buffered.
+    fn flush(&self, _stats: &TransportStats) {}
 
     /// Releases whatever the table holds open towards the peers, once they
-    /// have all exited. Default: nothing to release. TCP drops its pooled
-    /// streams here — a write into a dead peer's socket buffer would still
-    /// succeed, and a stopped network must refuse.
+    /// have all exited. Default: nothing to release (TCP drops its pooled
+    /// streams).
     fn close(&self) {}
 }
 
-/// An inbound frame and its peer. An `Err` is bytes that did not decode: it
-/// costs the sender its connection, never the peer.
-pub type Inbound = (u32, Result<WireMsg, WireError>);
+/// An inbound frame and its peer. Bytes that do not decode never get this
+/// far: the family's reader counts them and drops their connection.
+pub type Inbound = (u32, WireMsg);
 
 /// One worker's endpoint in a link family.
 pub trait Link: Send + 'static {
     /// How this family reaches other workers' peers.
     type Peers: Peers;
 
-    /// Whether event frames are a lossless in-process hand-off — the one
-    /// family-keyed decision in the shared code. When true their rx is
-    /// counted at the send site and the driver builds spans from ack
-    /// echoes; when false (TCP) the family's event reader counts rx and
-    /// peers record spans themselves, with real attempts and per-hop stamps.
+    /// Whether event frames are a lossless in-process hand-off, the one
+    /// family-keyed decision in the shared code: then their rx counts at the
+    /// send site and the driver builds spans from ack echoes; otherwise
+    /// (TCP) the event reader counts rx and peers record their own spans.
     const IN_PROCESS: bool;
 
     /// Carries an event frame (join, ack, probe reply) to the driver.
@@ -123,9 +110,8 @@ pub trait Link: Send + 'static {
     fn recv(&mut self, deadline: Option<Instant>) -> Result<Inbound, RecvTimeoutError>;
 }
 
-/// How long a forward waits before it leaves: the scale from virtual
-/// milliseconds (fault-plan jitter, modelled transfers) to wall time, and
-/// each peer's upload bandwidth when its uplink is paced.
+/// How long a forward waits before it leaves: the virtual-ms-to-wall scale
+/// (jitter, modelled transfers) and each paced peer's upload bandwidth.
 pub(crate) struct Pace {
     /// Virtual ms per wall ms.
     pub(crate) compression: f64,
@@ -150,42 +136,33 @@ pub(crate) type Shard<S> = (Range<u32>, S);
 /// [`crate::SocketNetwork`].
 pub struct PeerNetwork<L: Link> {
     pub(crate) peers: L::Peers,
-    /// Worker threads, yielding the spans their peers recorded, plus the
-    /// helper threads a family parked here (TCP's control readers, yielding
-    /// none).
+    /// Workers, yielding their peers' spans, and a family's helper threads.
     pub(crate) handles: Vec<JoinHandle<Vec<SpanRecord>>>,
     /// Worker threads the peers were spread over.
     workers: usize,
-    /// Driver-bound event frames: acks, probe replies (joins are drained
-    /// by the spawn handshake).
+    /// Driver-bound event frames (joins are drained by the handshake).
     events: Receiver<WireMsg>,
     pub(crate) next_pub_id: u64,
     /// Retransmission waves `publish` may use after the first ack window.
     retry_max: u32,
     drops: Arc<AtomicU64>,
-    /// Wire telemetry, shared with every worker. In-process links are
-    /// lossless and pumps drain their queues before exiting, so runs that
-    /// quiesce first count a pure function of the plan.
+    /// Wire telemetry, shared with every worker.
     pub(crate) stats: Arc<TransportStats>,
     /// Whether publish frames are stamped with a root [`TraceContext`].
     pub(crate) tracing: bool,
     /// Origin of every span wall stamp, driver- or peer-side.
     pub(crate) epoch: Instant,
-    /// Collected spans. In-process: one per traced ack, pushed as the
-    /// driver processes it — a per-delivery write into a cold per-thread
-    /// buffer costs ~10% of the publish path on a busy single-core box,
-    /// while this vec stays cache-hot under the ack loop. TCP: the peers'
-    /// own buffers, collected when their workers are joined.
+    /// Collected spans: in-process, one per traced ack as the driver takes
+    /// it (cache-hot, unlike per-peer buffers); TCP, the peers' own buffers
+    /// once their workers are joined.
     pub(crate) spans: Vec<SpanRecord>,
 }
 
 impl<L: Link> PeerNetwork<L> {
-    /// Starts one worker per shard — a range of peer ids and the seat
-    /// `open` turns into that worker's link (parking any helper thread in
-    /// `handles`) — then waits for every peer's [`WireMsg::Join`], so the
-    /// network is fully up before the first publication. The struct exists
-    /// before the first thread does, so every error path tears down through
-    /// `shutdown`.
+    /// Starts one worker per shard (a range of peer ids and the seat `open`
+    /// turns into its link, parking helper threads in `handles`), then waits
+    /// for every peer's [`WireMsg::Join`]. The struct exists before the
+    /// first thread does, so every error path tears down through `shutdown`.
     pub(crate) fn spawn_over<S>(
         peers: L::Peers,
         events: Receiver<WireMsg>,
@@ -252,15 +229,13 @@ impl<L: Link> PeerNetwork<L> {
         Ok(net)
     }
 
-    /// Worker threads serving the peers: derived from the family and the
-    /// core count, never configured.
+    /// Worker threads serving the peers: derived, never configured.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// Publishes `payload` along `tree`, blocking until every subscriber in
-    /// the tree received it (or `timeout` elapsed): [`publish_over`] with
-    /// the next publication id and the constructor's retry budget.
+    /// Publishes `payload` along `tree` until every subscriber acked or
+    /// `timeout` elapsed: [`publish_over`] with the next id and retry budget.
     pub fn publish(
         &mut self,
         tree: &RoutingTree,
@@ -277,6 +252,10 @@ impl<L: Link> PeerNetwork<L> {
     /// [`WireMsg::Probe`] and waits up to `timeout` for the matching
     /// [`WireMsg::ProbeReply`]. Returns the reply's `online` flag, or
     /// `None` on timeout / unknown peer.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "real-I/O probe deadline; the reply itself is plan-independent"
+    )]
     pub fn probe(&mut self, peer: u32, nonce: u64, timeout: Duration) -> Option<bool> {
         let probe = WireMsg::Probe {
             from: u32::MAX,
@@ -286,16 +265,8 @@ impl<L: Link> PeerNetwork<L> {
         if !self.send_to(peer, probe) {
             return None;
         }
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "real-I/O probe deadline; the reply itself is plan-independent"
-        )]
         let deadline = Instant::now() + timeout;
         loop {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "countdown against the waived deadline above"
-            )]
             let remaining = deadline.saturating_duration_since(Instant::now());
             match self.recv_event(remaining) {
                 Some(WireMsg::ProbeReply {
@@ -319,8 +290,9 @@ impl<L: Link> PeerNetwork<L> {
         for peer in 0..to_u32(self.peers.count(), "peer count") {
             self.send_to(peer, WireMsg::Shutdown);
         }
-        // Helper threads end once their peer did (TCP readers see EOF when
-        // the peer drops its control stream), so any join order terminates.
+        // Helper threads end once their worker did (a TCP worker's link,
+        // dropped as it exits, closes its control stream and wakes its
+        // acceptor), so any join order terminates.
         for h in self.handles.drain(..) {
             if let Ok(spans) = h.join() {
                 self.spans.extend(spans);
@@ -344,6 +316,7 @@ impl<L: Link> Transport for PeerNetwork<L> {
     fn send_to(&mut self, to: u32, msg: WireMsg) -> bool {
         let (tag, bytes) = (msg.tag(), encoded_frame_len(&msg));
         let ok = <L::Peers>::frame(msg).is_some_and(|f| self.peers.carry(to, &f, &self.stats));
+        self.peers.flush(&self.stats);
         if ok {
             self.stats.record_tx(tag, bytes);
         }
@@ -352,14 +325,10 @@ impl<L: Link> Transport for PeerNetwork<L> {
 
     fn recv_event(&mut self, timeout: Duration) -> Option<WireMsg> {
         let msg = self.events.recv_timeout(timeout).ok()?;
-        // Driver-side span materialization for in-process families: each
-        // traced ack echoes the context its delivery happened under (parent
-        // = forwarder's span, hop = tree depth), so the driver can build
-        // the record without the peers buffering anything. Wall stamps are
-        // ack-processing times; the events channel preserves causal order
-        // (a peer acks before it forwards), so they stay monotone along
-        // every chain. The delivering attempt is not in the ack: these
-        // spans always say attempt 0.
+        // In-process, a traced ack echoes its delivery context, so the
+        // driver builds the span: stamped as the ack is taken (monotone
+        // along a chain, since a peer acks before it forwards) and always
+        // attempt 0, which the ack does not carry.
         if L::IN_PROCESS {
             if let WireMsg::Ack {
                 peer,
@@ -437,16 +406,13 @@ fn delivery_span(ctx: TraceContext, peer: u32, attempt: u32, epoch: Instant) -> 
     }
 }
 
-/// How many of the publications it handled last a peer remembers for
-/// duplicate suppression. Duplicates (diamond trees, retransmissions) arrive
-/// within one publication's ack windows, never hundreds of publications
-/// later; forgetting one that old costs at most a stale ack, which the
-/// driver already ignores.
+/// Publications a peer remembers for dedup. Duplicates (diamonds,
+/// retransmissions) arrive within one publication's ack windows; forgetting
+/// an older one costs at most a stale ack, which the driver ignores.
 const DEDUP_WINDOW: usize = 256;
 
-/// The publication ids a peer handled most recently: a set for the lookup,
-/// a FIFO beside it so the set stays at [`DEDUP_WINDOW`] entries however
-/// many publications the peer lives through.
+/// The publication ids a peer handled last: a set for the lookup, a FIFO
+/// that keeps it at [`DEDUP_WINDOW`] entries.
 #[derive(Default)]
 struct RecentPubs {
     seen: HashSet<u64>,
@@ -479,9 +445,8 @@ struct Forward<P: Peers> {
     not_before: Option<Instant>,
 }
 
-/// One step's surroundings: what [`PeerState::on_frame`] reads besides the
-/// peer's own state (the fault plan, the wall scale, the worker's clock)
-/// and where it writes (event frames, forwards, counters).
+/// What [`PeerState::on_frame`] reads besides the peer (plan, wall scale,
+/// clock) and where it writes (events, forwards, counters).
 pub(crate) struct Outbox<L: Link> {
     plan: FaultPlan,
     /// Virtual ms per wall ms, for jitter and paced uploads.
@@ -541,17 +506,8 @@ impl PeerState {
 
     /// Handles one inbound frame. Never blocks: what a peer sends goes into
     /// `out`, forwards stamped with when they may leave.
-    pub(crate) fn on_frame<L: Link>(
-        &mut self,
-        inbound: Result<WireMsg, WireError>,
-        out: &mut Outbox<L>,
-    ) {
+    pub(crate) fn on_frame<L: Link>(&mut self, msg: WireMsg, out: &mut Outbox<L>) {
         let id = self.id;
-        let Ok(msg) = inbound else {
-            out.stats.note_garbage_frame();
-            out.stats.note_codec_error_conn();
-            return;
-        };
         out.stats.record_rx(msg.tag(), encoded_frame_len(&msg));
         match msg {
             WireMsg::Publish {
@@ -565,11 +521,9 @@ impl PeerState {
                 if !self.recent.first_sight(pub_id) {
                     return;
                 }
-                // First delivery of a traced publication: echo the delivery
-                // context verbatim in the ack (the ack convention every
-                // family shares) and stamp forwards with this peer's own
-                // span as their parent. Off-process, also record the span
-                // here, with the real attempt and a per-hop wall stamp.
+                // Traced: the ack echoes the delivery context, forwards carry
+                // this peer's span as parent; off-process the peer records
+                // its span itself, with the real attempt and a wall stamp.
                 let fwd_trace: Option<TraceContext> = trace.map(|ctx| {
                     if !L::IN_PROCESS {
                         self.spans.push(delivery_span(ctx, id, attempt, out.epoch));
@@ -687,8 +641,8 @@ impl<L: Link> Pump<L> {
         }
         loop {
             self.release_due();
-            let (to, inbound) = match self.local.pop_front() {
-                Some((to, msg)) => (to, Ok(msg)),
+            let (to, msg) = match self.local.pop_front() {
+                Some(local) => local,
                 None if self.delayed.is_empty() && self.states.iter().all(|s| s.stopped) => break,
                 None => match self.link.recv(self.delayed.keys().next().map(|k| k.0)) {
                     Ok(inbound) => inbound,
@@ -696,7 +650,7 @@ impl<L: Link> Pump<L> {
                     Err(RecvTimeoutError::Disconnected) => break,
                 },
             };
-            self.step(to, inbound);
+            self.step(to, msg);
         }
         self.states.into_iter().flat_map(|s| s.spans).collect()
     }
@@ -719,7 +673,7 @@ impl<L: Link> Pump<L> {
 
     /// Runs one frame through its peer's step and acts on what it emitted:
     /// events first (ack before forward), then forwards.
-    fn step(&mut self, to: u32, inbound: Result<WireMsg, WireError>) {
+    fn step(&mut self, to: u32, msg: WireMsg) {
         let index = to.checked_sub(self.first).map(|i| i as usize);
         let Some(state) = index.and_then(|i| self.states.get_mut(i)) else {
             return;
@@ -728,7 +682,7 @@ impl<L: Link> Pump<L> {
             return; // raced its peer's Shutdown: never served
         }
         self.out.now = None;
-        state.on_frame(inbound, &mut self.out);
+        state.on_frame(msg, &mut self.out);
         if state.stopped {
             self.peers.stop(to);
         }
@@ -768,27 +722,77 @@ impl<L: Link> Pump<L> {
     }
 }
 
-/// The channel family's address table: one inbox per worker.
-#[derive(Clone)]
-pub struct ChannelPeers(Arc<ChannelTable>);
-
-struct ChannelTable {
-    /// Peer `p` is served by worker `p / span`.
-    inboxes: Vec<Sender<(u32, WireMsg)>>,
+/// A family's address table: what reaches each shard of `span` contiguous
+/// peers, and per peer whether it took its Shutdown.
+pub(crate) struct Roster<S> {
+    pub(crate) shards: Vec<S>,
     span: usize,
-    /// Per peer: took its Shutdown.
     stopped: Vec<AtomicBool>,
 }
+
+impl<S> Roster<S> {
+    /// Cuts `n` peers into at most `workers` shards; `shard` builds, from a
+    /// shard's range, what reaches it and the seat its worker's link opens.
+    pub(crate) fn build<T, E>(
+        n: usize,
+        workers: usize,
+        mut shard: impl FnMut(&Range<u32>) -> Result<(S, T), E>,
+    ) -> Result<(Self, Vec<Shard<T>>), E> {
+        let span = n.div_ceil(workers.max(1)).max(1);
+        let (mut shards, mut seats) = (Vec::new(), Vec::new());
+        for lo in (0..n).step_by(span) {
+            let range = to_u32(lo, "peer id")..to_u32((lo + span).min(n), "peer id");
+            let (reach, seat) = shard(&range)?;
+            shards.push(reach);
+            seats.push((range, seat));
+        }
+        let stopped = (0..n).map(|_| AtomicBool::new(false)).collect();
+        Ok((
+            Roster {
+                shards,
+                span,
+                stopped,
+            },
+            seats,
+        ))
+    }
+
+    pub(crate) fn count(&self) -> usize {
+        self.stopped.len()
+    }
+
+    /// What reaches `peer`, if it exists.
+    pub(crate) fn shard(&self, peer: u32) -> Option<&S> {
+        self.stopped.get(peer as usize)?;
+        self.shards.get(peer as usize / self.span)
+    }
+
+    /// What reaches `peer`, if it exists and has not taken its Shutdown.
+    pub(crate) fn live(&self, peer: u32) -> Option<&S> {
+        let stopped = self.stopped.get(peer as usize)?.load(Ordering::Relaxed);
+        self.shard(peer).filter(|_| !stopped)
+    }
+
+    pub(crate) fn stop(&self, peer: u32) {
+        if let Some(s) = self.stopped.get(peer as usize) {
+            s.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The channel family's address table: one inbox per worker.
+#[derive(Clone)]
+pub struct ChannelPeers(Arc<Roster<Sender<(u32, WireMsg)>>>);
 
 impl Peers for ChannelPeers {
     type Frame = WireMsg;
 
     fn count(&self) -> usize {
-        self.0.stopped.len()
+        self.0.count()
     }
 
     fn addr(&self, peer: u32) -> Option<PeerAddr> {
-        ((peer as usize) < self.count()).then_some(PeerAddr::InProc(peer))
+        self.0.shard(peer).map(|_| PeerAddr::InProc(peer))
     }
 
     fn frame(msg: WireMsg) -> Option<WireMsg> {
@@ -803,21 +807,12 @@ impl Peers for ChannelPeers {
     }
 
     fn carry(&self, to: u32, frame: &WireMsg, _stats: &TransportStats) -> bool {
-        let table = &self.0;
-        let live = table
-            .stopped
-            .get(to as usize)
-            .is_some_and(|s| !s.load(Ordering::Relaxed));
-        live && table
-            .inboxes
-            .get(to as usize / table.span)
-            .is_some_and(|tx| tx.send((to, frame.clone())).is_ok())
+        let inbox = self.0.live(to);
+        inbox.is_some_and(|tx| tx.send((to, frame.clone())).is_ok())
     }
 
     fn stop(&self, peer: u32) {
-        if let Some(s) = self.0.stopped.get(peer as usize) {
-            s.store(true, Ordering::Relaxed);
-        }
+        self.0.stop(peer);
     }
 }
 
@@ -837,23 +832,12 @@ impl ChannelLink {
         workers: usize,
     ) -> (Vec<Shard<ChannelLink>>, ChannelPeers, Receiver<WireMsg>) {
         let (event_tx, events) = unbounded();
-        let span = n.div_ceil(workers.max(1)).max(1);
-        let (inboxes, shards) = (0..n)
-            .step_by(span)
-            .map(|lo| {
-                let (tx, inbox) = unbounded();
-                let range = to_u32(lo, "peer id")..to_u32((lo + span).min(n), "peer id");
-                let events = event_tx.clone();
-                (tx, (range, ChannelLink { inbox, events }))
-            })
-            .unzip();
-        let stopped = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let table = ChannelTable {
-            inboxes,
-            span,
-            stopped,
-        };
-        (shards, ChannelPeers(Arc::new(table)), events)
+        let Ok((roster, shards)) = Roster::build(n, workers, |_| {
+            let (tx, inbox) = unbounded();
+            let events = event_tx.clone();
+            Ok::<_, Infallible>((tx, ChannelLink { inbox, events }))
+        });
+        (shards, ChannelPeers(Arc::new(roster)), events)
     }
 }
 
@@ -866,26 +850,23 @@ impl Link for ChannelLink {
     }
 
     fn recv(&mut self, deadline: Option<Instant>) -> Result<Inbound, RecvTimeoutError> {
-        let (to, msg) = match deadline {
-            None => self
-                .inbox
-                .recv()
-                .map_err(|_| RecvTimeoutError::Disconnected)?,
-            Some(at) => {
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "waits until the earliest delayed forward is due"
-                )]
-                let wait = at.saturating_duration_since(Instant::now());
-                self.inbox.recv_timeout(wait)?
-            }
-        };
-        Ok((to, Ok(msg)))
+        recv_until(&self.inbox, deadline)
     }
 }
 
-/// Workers an in-process family runs `n` peers on: every core but the one
-/// the driver keeps, at least one, never more than there are peers.
+/// The next item of `inbox`, waiting until `deadline` at most.
+pub(crate) fn recv_until<T>(
+    inbox: &Receiver<T>,
+    deadline: Option<Instant>,
+) -> Result<T, RecvTimeoutError> {
+    match deadline {
+        None => inbox.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        Some(at) => inbox.recv_deadline(at),
+    }
+}
+
+/// Workers a family runs `n` peers on: every core but the one the driver
+/// keeps, at least one, never more than there are peers.
 pub(crate) fn worker_count(n: usize) -> usize {
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     cores.saturating_sub(1).clamp(1, n.max(1))

@@ -2,18 +2,11 @@
 //! pathologies the delivery loop and the socket runtime can observe
 //! (retransmissions, ack-window expiries, reconnects, garbage frames).
 //!
-//! One [`TransportStats`] is shared (via `Arc`) between a network's driver
-//! handle and its peer threads. Counters are relaxed atomics: on the
-//! in-process transports every count is a pure function of the seeded
-//! plan, so totals are deterministic and thread-invariant (sums of
-//! commutative increments); on the socket transport the kernel schedules
-//! real connections, so the counts are best-effort ground truth rather
-//! than a replayable quantity.
-//!
-//! A frozen [`StatsSnapshot`] merges into the obs layer's
-//! [`MetricsSnapshot`] as one gauge family per counter — the exporter has
-//! no label support, so tag names are baked into metric names
-//! (`select_wire_frames_tx_publish`, …).
+//! One [`TransportStats`] of relaxed atomics is shared by a network's driver
+//! and workers. In-process every count is a pure function of the seeded
+//! plan; over sockets the counts are best-effort ground truth. A frozen
+//! [`StatsSnapshot`] merges into the obs layer's [`MetricsSnapshot`] as one
+//! gauge family per counter, tag names baked into metric names.
 
 use osn_obs::MetricsSnapshot;
 use select_core::wire::tag_name;
@@ -28,6 +21,15 @@ fn slot(tag: u8) -> usize {
         tag as usize
     } else {
         0
+    }
+}
+
+/// Adds one frame of `bytes` to `tag`'s slot.
+fn count(frames: &[AtomicU64; TAG_SLOTS], totals: &[AtomicU64; TAG_SLOTS], tag: u8, bytes: u64) {
+    let s = slot(tag);
+    if let (Some(f), Some(b)) = (frames.get(s), totals.get(s)) {
+        f.fetch_add(1, Ordering::Relaxed);
+        b.fetch_add(bytes, Ordering::Relaxed);
     }
 }
 
@@ -53,24 +55,12 @@ impl TransportStats {
 
     /// One frame of `bytes` wire bytes sent with `tag`.
     pub fn record_tx(&self, tag: u8, bytes: u64) {
-        let s = slot(tag);
-        if let Some(c) = self.frames_tx.get(s) {
-            c.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(c) = self.bytes_tx.get(s) {
-            c.fetch_add(bytes, Ordering::Relaxed);
-        }
+        count(&self.frames_tx, &self.bytes_tx, tag, bytes);
     }
 
     /// One frame of `bytes` wire bytes received with `tag`.
     pub fn record_rx(&self, tag: u8, bytes: u64) {
-        let s = slot(tag);
-        if let Some(c) = self.frames_rx.get(s) {
-            c.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(c) = self.bytes_rx.get(s) {
-            c.fetch_add(bytes, Ordering::Relaxed);
-        }
+        count(&self.frames_rx, &self.bytes_rx, tag, bytes);
     }
 
     /// One publish frame re-sent by the ack/retry loop.
@@ -198,44 +188,29 @@ impl StatsSnapshot {
     /// tags with traffic, then the scalar pathology counters.
     pub fn merge_into(&self, mut snap: MetricsSnapshot, transport: &str) -> MetricsSnapshot {
         for (_, name, ftx, btx, frx, brx) in self.per_tag() {
-            snap = snap
-                .with_gauge(
-                    &format!("select_wire_frames_tx_{name}_{transport}"),
-                    ftx as f64,
-                )
-                .with_gauge(
-                    &format!("select_wire_bytes_tx_{name}_{transport}"),
-                    btx as f64,
-                )
-                .with_gauge(
-                    &format!("select_wire_frames_rx_{name}_{transport}"),
-                    frx as f64,
-                )
-                .with_gauge(
-                    &format!("select_wire_bytes_rx_{name}_{transport}"),
-                    brx as f64,
+            for (family, v) in [
+                ("frames_tx", ftx),
+                ("bytes_tx", btx),
+                ("frames_rx", frx),
+                ("bytes_rx", brx),
+            ] {
+                snap = snap.with_gauge(
+                    &format!("select_wire_{family}_{name}_{transport}"),
+                    v as f64,
                 );
+            }
         }
-        snap.with_gauge(
-            &format!("select_wire_retransmissions_{transport}"),
-            self.retransmissions as f64,
-        )
-        .with_gauge(
-            &format!("select_wire_ack_window_expiries_{transport}"),
-            self.ack_window_expiries as f64,
-        )
-        .with_gauge(
-            &format!("select_wire_reconnects_{transport}"),
-            self.reconnects as f64,
-        )
-        .with_gauge(
-            &format!("select_wire_garbage_frames_{transport}"),
-            self.garbage_frames as f64,
-        )
-        .with_gauge(
-            &format!("select_wire_codec_error_conns_{transport}"),
-            self.codec_error_conns as f64,
-        )
+        let scalars = [
+            ("retransmissions", self.retransmissions),
+            ("ack_window_expiries", self.ack_window_expiries),
+            ("reconnects", self.reconnects),
+            ("garbage_frames", self.garbage_frames),
+            ("codec_error_conns", self.codec_error_conns),
+        ];
+        for (family, v) in scalars {
+            snap = snap.with_gauge(&format!("select_wire_{family}_{transport}"), v as f64);
+        }
+        snap
     }
 }
 

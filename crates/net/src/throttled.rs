@@ -1,18 +1,14 @@
 //! Bandwidth-throttled link family: real threads, real time, modelled
 //! uplinks.
 //!
-//! [`crate::runtime::ThreadedNetwork`] checks *behaviour*;
-//! [`ThrottledNetwork`] additionally makes each peer's uplink cost real
-//! wall-clock time. It is the channel family under a pace policy: every
-//! forward leaves no earlier than its peer's uplink clock plus
-//! `transfer_time(payload, bw) / compression`, so a peer's uploads
-//! serialize, and fault-plan jitter is compressed on the same scale. A
-//! dropped upload still occupies the uplink (the sender's NIC drained
-//! before the packet was lost). The pump holds each forward until it is
-//! due, so one worker models many parallel uplinks. This lets the
-//! repository *validate* the virtual-time model of [`crate::timing`]: the
-//! same tree, driven by real wall-clock pacing, must reproduce the model's
-//! arrival-order predictions (see the `agrees_with_transfer_sim` test).
+//! The channel family under a pace policy: every forward leaves no earlier
+//! than its peer's uplink clock plus `transfer_time(payload, bw) /
+//! compression`, so a peer's uploads serialize (a dropped upload still
+//! occupies the uplink) and fault-plan jitter is compressed on the same
+//! scale. The pump holds each forward until it is due, so one worker models
+//! many uplinks. This *validates* [`crate::timing`]: driven by real
+//! wall-clock pacing, the same tree must reproduce the model's arrival
+//! order (the `agrees_with_transfer_sim` test).
 
 #![deny(
     clippy::indexing_slicing,

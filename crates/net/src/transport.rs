@@ -1,24 +1,14 @@
 //! The [`Transport`] abstraction: what a network runtime owes the publish
 //! driver.
 //!
-//! The publisher harness needs four capabilities: inject a frame at a peer,
-//! hear events (acks, joins, probe replies) back, count the fault plan's
-//! drops, and shut down. [`Transport`] pins exactly that surface, and
+//! [`Transport`] pins what the publisher needs — inject a frame, hear
+//! events back, count the fault plan's drops, shut down — and
 //! [`publish_over`] implements the ack-window/retransmission loop **once**
-//! against it — so the retry policy cannot drift between link families and
-//! a conformance test can replay one seed over two of them and compare
-//! delivery sets. The trait has one implementor,
-//! [`crate::runtime::PeerNetwork`], generic over how frames move; harnesses
-//! hold `&mut dyn Transport` to swap families behind one publish path.
-//!
-//! Semantics the implementation honours (the conformance contract):
-//!
-//! * [`Transport::send_to`] is a **driver injection**: it draws no fault
-//!   decision. Only peer→child forwards inside the transport consult the
-//!   [`osn_sim::FaultPlan`], via [`osn_sim::FaultPlan::frame_fate`].
-//! * Each peer deduplicates publications by `pub_id` and acks exactly once.
-//! * [`Transport::shutdown`] is idempotent, and dropping a transport shuts
-//!   it down.
+//! against it, so retry policy cannot drift between link families. Its one
+//! implementor is [`crate::runtime::PeerNetwork`]; harnesses hold `&mut dyn
+//! Transport`. Injections draw no fault decision (only peer→child forwards
+//! consult [`osn_sim::FaultPlan::frame_fate`]), each peer acks a
+//! publication exactly once, and shutdown is idempotent and runs on drop.
 
 #![deny(
     clippy::indexing_slicing,
@@ -49,10 +39,7 @@ pub enum PeerAddr {
     Tcp(SocketAddr),
 }
 
-/// One way of moving [`WireMsg`] frames between peer actors.
-///
-/// Object-safe on purpose: harness code holds `&mut dyn Transport` to swap
-/// runtimes behind one publish path (see [`publish_over`]).
+/// One way of moving [`WireMsg`] frames between peer actors (object-safe).
 pub trait Transport {
     /// Number of peers.
     fn len(&self) -> usize;
@@ -62,10 +49,8 @@ pub trait Transport {
         self.len() == 0
     }
 
-    /// Injects `msg` directly at peer `to`, from the driver. Returns
+    /// Injects `msg` at peer `to`, drawing no fault decision. Returns
     /// `false` if the peer does not exist or the transport is shut down.
-    /// Driver injections draw **no** fault decision — only peer→child
-    /// forwards inside the transport do.
     fn send_to(&mut self, to: u32, msg: WireMsg) -> bool;
 
     /// Next driver-bound event frame (ack, join, probe reply), or `None`
@@ -82,11 +67,8 @@ pub trait Transport {
     /// any number of times, and implementations also invoke it on drop.
     fn shutdown(&mut self);
 
-    /// This transport's live wire-telemetry counters (shared with its peer
-    /// threads). Counting conventions: every frame records tx at its
-    /// sender and rx at its receiver, with byte sizes from
-    /// [`crate::codec::encoded_frame_len`], so the in-process families
-    /// report the same totals the socket family pays for real.
+    /// Live wire telemetry: tx at each frame's sender, rx at its receiver,
+    /// sized by [`crate::codec::encoded_frame_len`] on every family.
     fn stats(&self) -> &TransportStats;
 
     /// Turns wire-level tracing on or off for subsequent publications.
@@ -94,21 +76,16 @@ pub trait Transport {
     /// publish frame and peers record delivery spans.
     fn set_tracing(&mut self, on: bool);
 
-    /// Whether publish frames are currently being stamped with trace
-    /// contexts.
+    /// Whether publish frames are currently stamped with trace contexts.
     fn tracing(&self) -> bool;
 
-    /// Drains the span records this transport collected. TCP peers buffer
-    /// spans on their own threads and hand them over when joined, so that
-    /// set is complete only after [`Transport::shutdown`]; in-process
-    /// families materialize spans driver-side as acks are processed. Either
-    /// way, draining after shutdown observes every span.
+    /// Drains the span records collected so far; complete after
+    /// [`Transport::shutdown`], when TCP peers have handed theirs over.
     fn drain_spans(&mut self) -> Vec<SpanRecord>;
 }
 
-/// Smallest ack window [`publish_over`] will wait before declaring a
-/// retransmission wave. Keeps huge retry budgets from slicing the timeout
-/// into windows too short for any ack to arrive.
+/// Smallest ack window [`publish_over`] waits before a retransmission wave,
+/// so huge retry budgets cannot slice the timeout too thin for any ack.
 pub const MIN_ACK_WINDOW: Duration = Duration::from_millis(20);
 
 /// Outcome of one publication over a [`Transport`].
@@ -125,12 +102,10 @@ pub struct PublishResult {
 }
 
 impl PublishResult {
-    /// Folds this publication into `rec`: hop counts for every delivered
-    /// peer (depth along its tree path), relay load from the tree's
-    /// forwarding fan-out, and the retransmission count. Everything
-    /// recorded is derived from the tree and the delivery set — never from
-    /// wall clocks — so replaying the same tree and fault plan reproduces
-    /// the same histograms.
+    /// Folds this publication into `rec`: hops per delivered peer, relay
+    /// load from the tree's fan-out, retransmissions. All of it derives from
+    /// the tree and the delivery set, never from wall clocks, so a replay
+    /// reproduces the same histograms.
     pub fn record_into(&self, tree: &RoutingTree, rec: &mut osn_obs::PublishRecorder) {
         for path in tree.paths() {
             let Some(&subscriber) = path.last() else {

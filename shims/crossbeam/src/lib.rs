@@ -146,7 +146,11 @@ pub mod channel {
 
         /// Blocks up to `timeout` for a message.
         pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = Instant::now() + timeout;
+            self.recv_deadline(Instant::now() + timeout)
+        }
+
+        /// Blocks until `deadline` at most for a message.
+        pub fn recv_deadline(&self, deadline: Instant) -> Result<T, RecvTimeoutError> {
             let mut q = self.inner.queue.lock().unwrap();
             loop {
                 if let Some(item) = q.items.pop_front() {

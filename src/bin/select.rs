@@ -414,7 +414,10 @@ fn replay_over_transport(
         TransportKind::Tcp => {
             eprintln!("[select] replaying over loopback TCP transport ({n} peer sockets)");
             match SocketNetwork::spawn_with_faults(n, plan, retry_max) {
-                Ok(t) => ("tcp", Box::new(t)),
+                Ok(t) => {
+                    eprintln!("[select] tcp: {n} peers on {} workers", t.workers());
+                    ("tcp", Box::new(t))
+                }
                 Err(e) => {
                     eprintln!("[select] cannot spawn socket transport: {e}");
                     return None;
